@@ -27,6 +27,10 @@ class WeightsDoNotSumToOne(GmdiffError):
     pass
 
 
+class NonFiniteParameter(GmdiffError):
+    pass
+
+
 # --- forward process ---
 
 class NegativeTime(GmdiffError):

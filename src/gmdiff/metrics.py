@@ -262,27 +262,12 @@ def moment_diagnostics(samples, reference: GmmSpec) -> MomentDiagnostics:
                              mean_z=mean_z, cov_z=cov_z, second_moment_z=float(m2_z))
 
 
-def spectral_norms(matrices: np.ndarray, iterations: int = 100,
-                   tol: float = 1e-10, seed: int = 0) -> np.ndarray:
-    """Dominant |eigenvalue| of each symmetric matrix by power iteration."""
+def spectral_norms(matrices: np.ndarray) -> np.ndarray:
+    """Largest |eigenvalue| of each symmetric matrix, by a batched eigvalsh."""
     mats = np.asarray(matrices, dtype=float)
     if mats.ndim == 2:
         mats = mats[None]
-    n, d, _ = mats.shape
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    lam = np.zeros(n)
-    for _ in range(iterations):
-        w = np.einsum("nij,nj->ni", mats, v)
-        new_lam = np.linalg.norm(w, axis=1)
-        nonzero = new_lam > 0.0
-        v[nonzero] = w[nonzero] / new_lam[nonzero, None]
-        if np.max(np.abs(new_lam - lam)) <= tol * max(1.0, new_lam.max()):
-            lam = new_lam
-            break
-        lam = new_lam
-    return lam
+    return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
 
 
 def jacobian_spectral_probe(spec_t: GmmSpec, points, params: ConditionParams,
@@ -319,9 +304,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     slope: float
     slope_half_width: float
-
-    def to_rows(self) -> list[dict]:
-        return [row._asdict() for row in self.rows]
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

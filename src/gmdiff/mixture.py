@@ -17,11 +17,11 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatch,
     EmptyMixture,
+    NonFiniteParameter,
     NonSymmetricCovariance,
     NotPositiveDefinite,
     WeightsDoNotSumToOne,
@@ -70,17 +70,6 @@ class GmmSpec:
                 - 0.5 * self.dim * np.log(2.0 * np.pi)
                 - 0.5 * self.log_dets)
 
-    @property
-    def components(self) -> tuple[GaussianComponent, ...]:
-        return tuple(
-            GaussianComponent(float(w), m.copy(), c.copy())
-            for w, m, c in zip(self.weights, self.means, self.covs)
-        )
-
-    @property
-    def log_weights(self) -> np.ndarray:
-        return np.log(self.weights)
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -99,8 +88,9 @@ def validate_spec(raw) -> GmmSpec:
     on-disk format, each component ``{weight, mean, cov}``) or an iterable
     of ``(weight, mean, cov)`` triples with the dimension inferred.
 
-    Raises EmptyMixture, DimensionMismatch, NonSymmetricCovariance,
-    NotPositiveDefinite or WeightsDoNotSumToOne on bad input.
+    Raises EmptyMixture, NonFiniteParameter, DimensionMismatch,
+    NonSymmetricCovariance, NotPositiveDefinite or WeightsDoNotSumToOne on
+    bad input.
     """
     if isinstance(raw, GmmSpec):
         return raw
@@ -123,6 +113,10 @@ def validate_spec(raw) -> GmmSpec:
     weights = np.array([float(w) for w, _, _ in triples])
     means = [np.atleast_1d(np.asarray(m, dtype=float)) for _, m, _ in triples]
     covs = [np.atleast_2d(np.asarray(c, dtype=float)) for _, _, c in triples]
+
+    for i, arr in enumerate(zip(weights, means, covs)):
+        if not all(np.all(np.isfinite(a)) for a in arr):
+            raise NonFiniteParameter(f"component {i}: weight, mean and cov must be finite")
 
     d = means[0].shape[0]
     if declared_dim is not None and int(declared_dim) != d:
@@ -193,51 +187,50 @@ def _check_points(spec: GmmSpec, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _component_log_pdfs(spec: GmmSpec, x: np.ndarray,
-                        pulls_out: np.ndarray | None = None) -> np.ndarray:
-    """log of alpha_i * N(x; mu_i, Sigma_i) for each component, shape (n, k).
+def _posterior(spec: GmmSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component-major log terms and pulls at the points.
 
-    The quadratic form reuses the precision product h = Sigma_i^{-1}(x - mu_i)
-    that the score needs; pass pulls_out of shape (n, k, d) to also collect
-    -h per component.
+    Returns logs of shape (k, n), log alpha_i N(x; mu_i, Sigma_i), and
+    pulls of shape (k, d, n), g_i(x) = -Sigma_i^{-1}(x - mu_i). The point
+    axis is innermost, so every elementwise step runs over contiguous rows
+    of length n rather than rows of length d. The pulls come from one
+    batched matmul over the stacked precisions; the quadratic form reuses
+    them.
     """
-    n = x.shape[0]
-    out = np.empty((n, spec.k))
-    for i in range(spec.k):
-        diff = x - spec.means[i]
-        h = diff @ spec.inv_covs[i]
-        if pulls_out is not None:
-            np.negative(h, out=pulls_out[:, i, :])
-        quad = np.einsum("nd,nd->n", diff, h)
-        out[:, i] = spec.log_norms[i] - 0.5 * quad
-    return out
+    diff = spec.means[:, :, None] - np.ascontiguousarray(pts.T)     # (k, d, n)
+    pulls = np.matmul(spec.inv_covs, diff)
+    logs = spec.log_norms[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, pulls)
+    return logs, pulls
+
+
+def _normalized(logs: np.ndarray) -> np.ndarray:
+    """Posterior weights f_i from the (k, n) log terms; exactly 1 when k = 1."""
+    w = np.exp(logs - logs.max(axis=0))
+    w /= w.sum(axis=0)
+    return w
 
 
 def log_density(spec: GmmSpec, x) -> float | np.ndarray:
     """log p(x) via log-sum-exp over per-component log terms."""
     pts, single = _check_points(spec, x)
-    lse = logsumexp(_component_log_pdfs(spec, pts), axis=1)
+    logs = _posterior(spec, pts)[0]
+    top = logs.max(axis=0)
+    top[~np.isfinite(top)] = 0.0                # far points: log p = -inf, not NaN
+    with np.errstate(divide="ignore"):
+        lse = top + np.log(np.exp(logs - top).sum(axis=0))
     return float(lse[0]) if single else lse
 
 
 def density(spec: GmmSpec, x) -> float | np.ndarray:
     """p(x) = sum_i alpha_i N(x; mu_i, Sigma_i)."""
-    out = np.exp(log_density(spec, x))
-    return out
+    return np.exp(log_density(spec, x))
 
 
 def responsibilities(spec: GmmSpec, x) -> Responsibilities:
     """Posterior component weights f_i(x) = alpha_i N_i(x) / sum_j alpha_j N_j(x)."""
     pts, single = _check_points(spec, x)
-    f = _responsibility_matrix(spec, pts)
+    f = _normalized(_posterior(spec, pts)[0]).T
     return Responsibilities(values=f[0] if single else f)
-
-
-def _responsibility_matrix(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
-    logs = _component_log_pdfs(spec, pts)
-    logs -= logs.max(axis=1, keepdims=True)
-    w = np.exp(logs)
-    return w / w.sum(axis=1, keepdims=True)
 
 
 def score(spec: GmmSpec, x) -> np.ndarray:
@@ -246,60 +239,25 @@ def score(spec: GmmSpec, x) -> np.ndarray:
     Reduces exactly to -Sigma^{-1}(x - mu) when k = 1.
     """
     pts, single = _check_points(spec, x)
-    s = _score_matrix(spec, pts)
+    logs, pulls = _posterior(spec, pts)
+    s = np.einsum("kn,kdn->nd", _normalized(logs), pulls)
     return s[0] if single else s
-
-
-def _component_pulls(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
-    """g_i(x) = -Sigma_i^{-1}(x - mu_i), shape (n, k, d)."""
-    out = np.empty((pts.shape[0], spec.k, spec.dim))
-    for i in range(spec.k):
-        np.matmul(spec.means[i] - pts, spec.inv_covs[i], out=out[:, i, :])
-    return out
-
-
-def _score_matrix(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
-    if spec.k == 1:
-        return (spec.means[0] - pts) @ spec.inv_covs[0]
-    if spec.dim == 1:
-        return _score_matrix_1d(spec, pts)
-    pulls = np.empty((pts.shape[0], spec.k, spec.dim))
-    logs = _component_log_pdfs(spec, pts, pulls_out=pulls)
-    logs -= logs.max(axis=1, keepdims=True)
-    np.exp(logs, out=logs)
-    s = np.einsum("nk,nkd->nd", logs, pulls)
-    s /= logs.sum(axis=1)[:, None]
-    return s
-
-
-def _score_matrix_1d(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
-    """Scalar-covariance fast path: pure broadcasting, no per-component BLAS."""
-    diff = pts - spec.means[:, 0]              # (n, k) via broadcast
-    h = diff * spec.inv_covs[:, 0, 0]
-    logs = spec.log_norms - 0.5 * (diff * h)
-    logs -= logs.max(axis=1, keepdims=True)
-    np.exp(logs, out=logs)
-    s = -(logs * h).sum(axis=1) / logs.sum(axis=1)
-    return s[:, None]
 
 
 def score_jacobian(spec: GmmSpec, x) -> np.ndarray:
     """Hessian of log p, a symmetric d x d matrix (per point for batches).
 
-    Uses H = sum_i f_i (g_i g_i^T - Sigma_i^{-1}) - s s^T where
-    g_i = -Sigma_i^{-1}(x - mu_i) and s is the score. Equals -Sigma^{-1}
-    exactly when k = 1.
+    Uses H = sum_i f_i ((g_i - s)(g_i - s)^T - Sigma_i^{-1}) where
+    g_i = -Sigma_i^{-1}(x - mu_i) and s = sum_i f_i g_i is the score; the
+    centered form avoids cancellation and gives exactly -Sigma^{-1} when
+    k = 1.
     """
     pts, single = _check_points(spec, x)
-    if spec.k == 1:
-        out = np.broadcast_to(-spec.inv_covs[0], (pts.shape[0],) + spec.inv_covs[0].shape).copy()
-        return out[0] if single else out
-    f = _responsibility_matrix(spec, pts)                       # (n, k)
-    g = _component_pulls(spec, pts)                             # (n, k, d)
-    s = np.einsum("nk,nkd->nd", f, g)                           # (n, d)
-    outer = np.einsum("nk,nkd,nke->nde", f, g, g)               # sum_i f_i g g^T
-    prec = np.einsum("nk,kde->nde", f, spec.inv_covs)           # sum_i f_i Sigma_i^{-1}
-    hess = outer - prec - np.einsum("nd,ne->nde", s, s)
+    logs, pulls = _posterior(spec, pts)
+    f = _normalized(logs)                                       # (k, n)
+    dev = pulls - np.einsum("kn,kdn->dn", f, pulls)             # g_i - s
+    hess = np.einsum("kn,kdn,ken->nde", f, dev, dev)
+    hess -= np.einsum("kn,kde->nde", f, spec.inv_covs)
     hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
     return hess[0] if single else hess
 

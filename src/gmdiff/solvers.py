@@ -14,7 +14,7 @@ matter how the caller schedules work across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class ScoreModel:
     kind "exact" returns the analytic mixture score; kind "perturbed" adds
     epsilon0 times a fixed unit-RMS Fourier field, so the grid-weighted
     mean-squared score error is epsilon0^2 up to Monte-Carlo accuracy.
+
+    The marginal at the last time asked for is kept, so repeated calls at
+    one time (the corrector kicks and the next predictor) build it once.
+    It is stored as one (t, spec_t) tuple: a model shared across threads
+    always reads a consistent pair.
     """
 
     spec0: GmmSpec
@@ -91,10 +96,14 @@ class ScoreModel:
     epsilon0: float
     seed: int | None
     field: FourierField | None
+    _last: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        spec_t = marginal_at(self.spec0, t)
-        s = score(spec_t, x)
+        last = self._last
+        if last is None or last[0] != t:
+            last = (t, marginal_at(self.spec0, t))
+            object.__setattr__(self, "_last", last)
+        s = score(last[1], x)
         if self.kind == "perturbed":
             s = s + self.epsilon0 * self.field(np.atleast_2d(x), t).reshape(s.shape)
         return s
@@ -273,6 +282,8 @@ def run_predictor_corrector(model: ScoreModel, T: float, h_pred: float,
                 y, v = _corrector_underdamped(model, t_fwd, y, v, h_corr,
                                               corr_steps_per_node, friction, rng)
         _guard(y, k)
+        if variant == "underdamped":
+            _guard(v, k)
     meta = {
         "seed": int(seed), "solver": "dpom" if variant == "overdamped" else "dpum",
         "grid": f"pc(h_pred={h_pred!r}, h_corr={h_corr!r}, "

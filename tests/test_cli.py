@@ -66,6 +66,23 @@ class TestBoundsCommand:
         assert rc == 2
         assert "component 0" in capsys.readouterr().err
 
+    def test_nan_weight_exit_2_without_samples(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        # json.dumps writes the literal NaN, which json.loads accepts
+        bad.write_text(json.dumps({
+            "dim": 1,
+            "components": [
+                {"weight": 0.5, "mean": [0.0], "cov": [[1.0]]},
+                {"weight": float("nan"), "mean": [1.0], "cov": [[1.0]]},
+            ],
+        }))
+        out = tmp_path / "o"
+        rc = main(["sample", "--spec", str(bad), "--out", str(out), "--seed", "1",
+                   "--N", "8", "--n", "10"])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
     def test_missing_spec_exit_2(self, tmp_path):
         rc = main(["bounds", "--spec", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o"), "--seed", "1"])

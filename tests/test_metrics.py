@@ -193,7 +193,7 @@ class TestSpectralProbe:
         hess = score_jacobian(spec, pts)
         pi_norms = spectral_norms(hess)
         dense = np.array([np.max(np.abs(np.linalg.eigvalsh(h))) for h in hess])
-        np.testing.assert_allclose(pi_norms, dense, atol=1e-8)
+        np.testing.assert_allclose(pi_norms, dense, rtol=1e-14, atol=0)
 
     def test_no_points_in_region(self, std1d):
         params = ConditionParams(R=1.0, beta=0.0999, gamma=0.0999)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gmdiff import (
     density,
+    lipschitz_suite,
     log_density,
     responsibilities,
     sample,
@@ -17,6 +18,8 @@ from gmdiff import (
 from gmdiff.errors import (
     DimensionMismatch,
     EmptyMixture,
+    GmdiffError,
+    NonFiniteParameter,
     NonSymmetricCovariance,
     NotPositiveDefinite,
     WeightsDoNotSumToOne,
@@ -58,6 +61,16 @@ class TestValidateSpec:
     def test_mismatched_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             validate_spec([(0.5, [0.0], [[1.0]]), (0.5, [0.0, 0.0], np.eye(2))])
+
+    @pytest.mark.parametrize("triples", [
+        [(0.5, [0.0], [[1.0]]), (float("nan"), [1.0], [[1.0]])],
+        [(0.5, [0.0], [[1.0]]), (0.5, [float("inf")], [[1.0]])],
+        [(1.0, [0.0, 0.0], [[1.0, 0.0], [0.0, float("nan")]])],
+    ], ids=["nan-weight", "inf-mean", "nan-cov"])
+    def test_non_finite_parameters_rejected(self, triples):
+        with pytest.raises(NonFiniteParameter) as info:
+            validate_spec(triples)
+        assert isinstance(info.value, GmdiffError)
 
     def test_file_format_mapping(self):
         spec = validate_spec({
@@ -196,6 +209,74 @@ class TestScoreJacobian:
         spec = make_random_spec(3, 3, seed=33)
         h = score_jacobian(spec, np.array([0.2, -0.8, 1.4]))
         np.testing.assert_allclose(h, h.T, atol=1e-13)
+
+
+def _reference_posterior(spec, x):
+    """Per-component loop at one point: log p, responsibilities, score and
+    Hessian of log p in the textbook form sum_i f_i (g g^T - P_i) - s s^T.
+    Also returns the magnitude of the summands, the scale of the rounding."""
+    d = spec.dim
+    logs, pulls, precs = [], [], []
+    for w, mu, cov in zip(spec.weights, spec.means, spec.covs):
+        prec = np.linalg.inv(cov)
+        diff = x - mu
+        logs.append(math.log(w) - 0.5 * d * math.log(2.0 * math.pi)
+                    - 0.5 * np.linalg.slogdet(cov)[1] - 0.5 * diff @ prec @ diff)
+        pulls.append(-prec @ diff)
+        precs.append(prec)
+    top = max(logs)
+    ws = [math.exp(v - top) for v in logs]
+    f = np.array(ws) / sum(ws)
+    s = sum(fi * g for fi, g in zip(f, pulls))
+    hess = sum(fi * (np.outer(g, g) - p) for fi, g, p in zip(f, pulls, precs))
+    hess = hess - np.outer(s, s)
+    scale = sum(fi * (g @ g + np.abs(p).max()) for fi, g, p in zip(f, pulls, precs))
+    return top + math.log(sum(ws)), f, s, hess, scale
+
+
+_KERNEL_SPECS = [(f"lipschitz{i}", spec) for i, spec in enumerate(lipschitz_suite())] + [
+    ("separated-60-sigma",
+     validate_spec([(0.5, [0.0], [[1.0]]), (0.5, [60.0], [[1.0]])])),
+    ("separated-60-sigma-2d",
+     validate_spec([(0.3, [0.0, 0.0], np.eye(2)), (0.7, [60.0, -2.0], [[1.0, 0.3], [0.3, 2.0]])])),
+    ("d3-k3", make_random_spec(3, 3, seed=41)),
+]
+
+
+class TestPosteriorKernel:
+    """The one component-major kernel behind log density, responsibilities,
+    score and Jacobian agrees with a per-component loop to 1e-12 relative."""
+
+    @pytest.mark.parametrize("spec", [s for _, s in _KERNEL_SPECS],
+                             ids=[name for name, _ in _KERNEL_SPECS])
+    def test_matches_per_component_loop(self, spec):
+        rng = np.random.default_rng(spec.k * 10 + spec.dim)
+        lo, hi = spec.means.min() - 4.0, spec.means.max() + 4.0
+        pts = np.vstack([sample(spec, 40, seed=3).points,
+                         rng.uniform(lo, hi, size=(40, spec.dim))])
+        batch = (log_density(spec, pts), responsibilities(spec, pts).values,
+                 score(spec, pts), score_jacobian(spec, pts))
+        for i, x in enumerate(pts):
+            lp, f, s, hess, scale = _reference_posterior(spec, x)
+            single = (log_density(spec, x), responsibilities(spec, x).values,
+                      score(spec, x), score_jacobian(spec, x))
+            for got in (single, tuple(b[i] for b in batch)):
+                assert got[0] == pytest.approx(lp, rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(got[1], f, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(got[2], s, rtol=1e-12,
+                                           atol=1e-12 * math.sqrt(scale))
+                np.testing.assert_allclose(got[3], hess, rtol=1e-12, atol=1e-12 * scale)
+            assert single[2].shape == (spec.dim,)
+            assert single[3].shape == (spec.dim, spec.dim)
+
+    def test_single_component_jacobian_is_exact_precision(self):
+        spec = make_random_spec(3, 1, seed=8)
+        pts = np.random.default_rng(2).normal(size=(5, 3))
+        np.testing.assert_array_equal(score_jacobian(spec, pts),
+                                      np.broadcast_to(-spec.inv_covs[0], (5, 3, 3)))
+
+    def test_far_point_log_density_is_minus_infinity(self, std1d):
+        assert log_density(std1d, [1e200]) == -math.inf
 
 
 class TestSample:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import gmdiff.solvers
 from gmdiff import (
     default_histogram_grid,
     make_score_model,
     marginal_at,
     run_predictor_corrector,
     run_sampler,
+    score,
     standard_normal_spec,
     step_ei,
     step_em,
@@ -20,6 +22,8 @@ from gmdiff.errors import NegativeEpsilon, NonFiniteState
 from gmdiff.mixture import sample_array
 from gmdiff.solvers import _corrector_overdamped
 
+from conftest import make_random_spec
+
 
 class TestScoreModel:
     def test_exact_matches_analytic_score(self, anchor):
@@ -29,6 +33,40 @@ class TestScoreModel:
         for t in (0.05, 1.0, 4.0):
             x = np.linspace(-3, 3, 11)[:, None]
             np.testing.assert_array_equal(model(t, x), score(marginal_at(anchor, t), x))
+
+    def test_memo_is_bitwise_exact_when_times_alternate(self):
+        spec = make_random_spec(2, 3, seed=4)
+        model = make_score_model(spec)
+        x = np.random.default_rng(5).normal(size=(64, 2))
+        for t in (0.3, 1.7, 0.3, 0.3, 1.7):
+            np.testing.assert_array_equal(model(t, x), score(marginal_at(spec, t), x))
+
+    def test_memo_is_consistent_when_shared_across_threads(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        spec = make_random_spec(2, 3, seed=6)
+        model = make_score_model(spec)
+        x = np.random.default_rng(8).normal(size=(16, 2))
+        times = (0.2, 0.9, 2.5, 4.0, 5.5, 7.0)
+        expected = {t: score(marginal_at(spec, t), x) for t in times}
+
+        def worker(offset):
+            for j in range(150):
+                t = times[(offset + j) % len(times)]
+                if not np.array_equal(model(t, x), expected[t]):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(worker, i) for i in range(6)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(results)
 
     def test_zero_epsilon_forces_exact(self, anchor):
         model = make_score_model(anchor, "perturbed", 0.0, seed=3)
@@ -242,6 +280,45 @@ class TestPredictorCorrector:
                                         corr_steps_per_node=1, variant="underdamped",
                                         n=20, seed=15)
         assert batch.meta["solver"] == "dpum"
+
+    @pytest.mark.parametrize("variant", ["overdamped", "underdamped"])
+    @pytest.mark.parametrize("corr_steps", [1, 2])
+    def test_one_marginal_per_node(self, anchor, monkeypatch, variant, corr_steps):
+        # the corrector kicks and the next predictor share one time
+        calls = []
+
+        def counting(spec0, t):
+            calls.append(t)
+            return marginal_at(spec0, t)
+
+        monkeypatch.setattr(gmdiff.solvers, "marginal_at", counting)
+        n_steps = 12
+        run_predictor_corrector(make_score_model(anchor), T=1.2, h_pred=0.1,
+                                h_corr=0.02, corr_steps_per_node=corr_steps,
+                                variant=variant, delta=0.0, n=50, seed=3)
+        assert len(calls) == n_steps + 1
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e15])
+    def test_diverging_momentum_is_caught(self, anchor, bad):
+        # only the closing half-kick of the last BAOAB step goes bad: the
+        # position stays finite, so the momentum check alone must catch it
+        exact = make_score_model(anchor)
+        calls = []
+
+        class LastKickBlowsUp:
+            spec0, kind, epsilon0 = exact.spec0, exact.kind, exact.epsilon0
+
+            def __call__(self, t, x):
+                calls.append(t)
+                s = exact(t, x)
+                return np.full_like(s, bad) if len(calls) == 3 else s
+
+        with pytest.raises(NonFiniteState) as info:
+            run_predictor_corrector(LastKickBlowsUp(), T=0.5, h_pred=0.5, h_corr=0.01,
+                                    corr_steps_per_node=1, variant="underdamped",
+                                    n=10, seed=2)
+        assert info.value.step_index == 0
+        assert len(calls) == 3
 
     def test_rejects_bad_arguments(self, anchor):
         model = make_score_model(anchor)
