@@ -16,6 +16,7 @@ natural log.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +32,7 @@ from .mixture import GmmSpec, density
 from .samples import SampleBatch
 
 _BETA_GAMMA_CAP = 0.0999  # keeps beta, gamma strictly below the 0.1 range limit
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ def lipschitz_constant(summary: SpectralSummary, params: ConditionParams,
     """Closed-form score Lipschitz constant for the summarized mixture.
 
     Assembled in log space; returns both the value and its natural log
-    (the value itself can underflow toward 1/sigma_min for large d).
+    (the value itself can underflow toward 1/sigma_min for large d, and is
+    inf when it exceeds the double range while the log stays finite).
     """
     s_min, s_max = summary.sigma_min, summary.sigma_max
     log_det_min = math.log(summary.det_min)
@@ -108,7 +111,10 @@ def lipschitz_constant(summary: SpectralSummary, params: ConditionParams,
                   + log_pair - params.beta ** 2 / (2.0 * s_max))
     log_first = -math.log(s_min)
     log_value = float(np.logaddexp(log_first, log_second))
-    value = math.exp(log_first) + math.exp(log_second)
+    if log_value > LOG_FLOAT_MAX:
+        value = math.inf
+    else:
+        value = math.exp(log_first) + math.exp(log_second)
     return LipschitzResult(value=value, log_value=log_value)
 
 

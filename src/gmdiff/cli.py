@@ -11,7 +11,7 @@ One binary, four subcommands plus replay:
 Every output directory gets a run.meta.json with the fully resolved
 configuration (defaults and seed included); replaying that file reproduces
 the CSV outputs byte for byte. Exit codes: 0 success, 1 verification
-failure, 2 config/spec error, 3 numerical failure.
+failure, 2 config/spec error, 3 numerical failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import bound_report
+from .bounds import LOG_FLOAT_MAX, bound_report
 from .errors import GmdiffError, NonFiniteState
 from .fileio import load_spec, save_bound_reports, save_sweep_csv
 from .metrics import convergence_sweep, default_histogram_grid
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -153,8 +155,10 @@ def cmd_bounds(cfg: RunConfig) -> int:
     reports = [bound_report(spec, t, seed=cfg.seed) for t in times]
     save_bound_reports(reports, out_dir / "bounds.json")
     _write_meta(cfg, out_dir)
-    sup_L = max(r.L for r in reports)
-    n_suggest = math.ceil(sup_L ** 2 * spec.dim / cfg.eps ** 2)
+    # log space: L itself can exceed the double range at high d
+    log_n = (2.0 * max(r.log_L for r in reports) + math.log(spec.dim)
+             - 2.0 * math.log(cfg.eps))
+    n_suggest = math.ceil(math.exp(log_n)) if log_n <= LOG_FLOAT_MAX else f"e^{log_n:.6g}"
     print(f"wrote {out_dir / 'bounds.json'} ({len(reports)} time slices)")
     print(f"heuristic step count for accuracy eps={cfg.eps}: "
           f"N ~ L^2 d / eps^2 = {n_suggest} (constant taken as 1, sup of L over times)")
@@ -257,6 +261,12 @@ def main(argv=None) -> int:
     except (GmdiffError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        # a bug, not a failed verification: keep it off exit code 1
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"({Path(where.filename).name}:{where.lineno})", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -80,11 +80,14 @@ class NegativeEpsilon(GmdiffError):
 
 
 class NonFiniteState(GmdiffError):
-    """Raised when a sampler chain diverges; carries the failing step index."""
+    """Raised when a sampler chain diverges; carries the failing step index,
+    the forward time of the failing state and the first bad chain."""
 
-    def __init__(self, message: str, step_index: int):
+    def __init__(self, message: str, step_index: int, t_forward: float, chain: int):
         super().__init__(message)
         self.step_index = step_index
+        self.t_forward = t_forward
+        self.chain = chain
 
 
 # --- metrics ---

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import ConditionParams, region_mask
+from .bounds import ConditionParams, region_mask, second_moment
 from .errors import (
     DimensionMismatch,
     DimensionTooHigh,
@@ -246,9 +246,7 @@ def moment_diagnostics(samples, reference: GmmSpec) -> MomentDiagnostics:
 
     ref_mean = mixture_mean(reference)
     ref_cov = mixture_cov(reference)
-    ref_m2 = float(reference.weights @ (
-        np.sum(reference.means ** 2, axis=1)
-        + np.trace(reference.covs, axis1=1, axis2=2)))
+    ref_m2 = second_moment(reference).M2
 
     mean_se = pts.std(axis=0, ddof=1) / math.sqrt(n)
     mean_z = (emp_mean - ref_mean) / mean_se

@@ -109,6 +109,25 @@ class TestLipschitzConstant:
         assert L.value == pytest.approx(1.0)
         assert L.log_value == pytest.approx(0.0, abs=1e-12)
 
+    def test_overflowing_value_is_inf_with_finite_log(self):
+        # at d = 400 a tiny density floor puts L far past the double range
+        summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, det_min=1.0, mu_max=0.0)
+        params = ConditionParams(R=4.0, beta=0.05, gamma=1e-300)
+        L = lipschitz_constant(summ, params, 400)
+        assert L.value == math.inf
+        assert math.isfinite(L.log_value) and L.log_value > 709.8
+
+    @pytest.mark.parametrize("gamma", [1e-150, 1e-20, 0.05])
+    def test_finite_value_keeps_linear_sum(self, gamma):
+        summ = SpectralSummary(sigma_min=0.5, sigma_max=2.0, det_min=0.7, mu_max=1.0)
+        params = ConditionParams(R=3.0, beta=0.05, gamma=gamma)
+        L = lipschitz_constant(summ, params, 3)
+        log_pair = np.logaddexp(-3 * math.log(2 * math.pi) - math.log(0.7),
+                                -1.5 * math.log(2 * math.pi) - 0.5 * math.log(0.7))
+        log_second = (math.log(2.0) + 2.0 * math.log(3.0) - 2.0 * math.log(gamma)
+                      - 2.0 * math.log(0.5) + log_pair - 0.05 ** 2 / 4.0)
+        assert L.value == math.exp(-math.log(0.5)) + math.exp(log_second)
+
 
 class TestSecondMoment:
     def test_standard_normal_is_dimension(self):

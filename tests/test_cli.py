@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+import gmdiff.cli
 from gmdiff.cli import main
 from gmdiff.fileio import save_spec
 from gmdiff.suite import standard_mixture_1d, standard_normal_spec
@@ -52,6 +54,19 @@ class TestBoundsCommand:
         assert rep["kl_upper"] == pytest.approx(2.3181471805599454, rel=1e-12)
         assert rep["sigma_min"] == pytest.approx(0.25, rel=1e-12)
         assert rep["log_L"] == pytest.approx(15.570747274377092, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [200, 400])
+    def test_high_dimension_report_stays_finite_in_log_space(self, tmp_path, capsys, d):
+        # at d = 200 L^2 overflows; at d = 400 L itself does, but log L never
+        spec = tmp_path / "normal.json"
+        save_spec(standard_normal_spec(d), spec)
+        out = tmp_path / "out"
+        rc = main(["bounds", "--spec", str(spec), "--out", str(out), "--seed", "1"])
+        assert rc == 0
+        rep = json.loads((out / "bounds.json").read_text())[0]
+        assert math.isfinite(rep["log_L"])
+        assert rep["L"] == (math.inf if d == 400 else pytest.approx(math.exp(rep["log_L"])))
+        assert "heuristic step count" in capsys.readouterr().out
 
     def test_malformed_covariance_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -149,6 +164,19 @@ class TestSampleCommand:
                    "--seed", "1", "--epsilon0", "1e9"])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+    def test_unexpected_error_exits_4(self, spec_file, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(gmdiff.cli, "run_sampler", broken)
+        rc = main(["sample", "--spec", spec_file, "--out", str(tmp_path / "x"),
+                   "--n", "10", "--N", "4", "--seed", "1"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: boom")
+        assert err.count("\n") == 1
 
 
 class TestVerifyCommand:

@@ -111,6 +111,20 @@ class TestMarginalAt:
             expected = np.sort(c.a ** 2 * np.linalg.eigvalsh(cov0) + c.b ** 2)
             np.testing.assert_allclose(np.linalg.eigvalsh(cov_t), expected, atol=1e-10)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 8.0), st.floats(0.0, 8.0))
+    @settings(max_examples=40, deadline=None)
+    def test_semigroup_law(self, seed, t1, t2):
+        # the OU flow composes: noising to t1, then for t2 more, is noising to t1 + t2
+        rng = np.random.default_rng(seed)
+        spec = make_random_spec(int(rng.integers(1, 4)), int(rng.integers(1, 5)), seed=seed)
+        double = marginal_at(marginal_at(spec, t1), t2)
+        single = marginal_at(spec, t1 + t2)
+        np.testing.assert_allclose(double.means, single.means, rtol=1e-12, atol=1e-300)
+        # rtol 1e-12, with an absolute floor for entries that cross zero
+        # (off-diagonal covariances; log-dets of covariances near I)
+        np.testing.assert_allclose(double.covs, single.covs, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(double.log_dets, single.log_dets, rtol=1e-12, atol=1e-14)
+
     def test_monte_carlo_forward_matches(self):
         spec = make_random_spec(2, 2, seed=10)
         t, n = 3.0, 100000

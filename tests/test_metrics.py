@@ -11,6 +11,7 @@ from gmdiff import (
     jacobian_spectral_probe,
     kl_histogram,
     kl_mc,
+    lipschitz_suite,
     moment_diagnostics,
     sample,
     standard_normal_spec,
@@ -170,6 +171,18 @@ class TestMomentDiagnostics:
         pts[:, 0] += 1.0
         diag = moment_diagnostics(SampleBatch(points=pts), spec)
         assert abs(diag.mean_z[0]) > 4.0
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_second_moment_z_bitwise_matches_inline_formula(self, index):
+        # the reference M2 comes from bounds.second_moment; its z-score must
+        # equal, bit for bit, the one built from the formula written out
+        spec = lipschitz_suite()[index]
+        pts = sample(spec, 4000, seed=100 + index).points
+        sq = np.sum(pts ** 2, axis=1)
+        ref_m2 = float(spec.weights @ (np.sum(spec.means ** 2, axis=1)
+                                       + np.trace(spec.covs, axis1=1, axis2=2)))
+        expected = (float(sq.mean()) - ref_m2) / (sq.std(ddof=1) / math.sqrt(4000))
+        assert moment_diagnostics(SampleBatch(points=pts), spec).second_moment_z == expected
 
 
 class TestSpectralProbe:

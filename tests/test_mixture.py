@@ -168,6 +168,21 @@ class TestScore:
     def test_identity_gaussian(self, std2d):
         np.testing.assert_allclose(score(std2d, [1.0, 2.0]), [-1.0, -2.0], atol=1e-14)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_single_gaussian_is_linear(self, seed, d):
+        # one SPD Gaussian: the score is exactly -Sigma^{-1} (x - mu)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + 0.5 * np.eye(d)
+        mu = rng.normal(size=d, scale=2.0)
+        spec = validate_spec([(1.0, mu, cov)])
+        x = rng.normal(size=(20, d), scale=3.0)
+        expected = -np.linalg.solve(cov, (x - mu).T).T
+        # rtol 1e-12 against the largest entry: single entries can cross zero
+        np.testing.assert_allclose(score(spec, x), expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
     def test_scalar_variance(self):
         spec = validate_spec([(1.0, [0.0], [[4.0]])])
         assert score(spec, [2.0]) == pytest.approx([-0.5])

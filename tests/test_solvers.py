@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from gmdiff import (
 )
 from gmdiff.errors import NegativeEpsilon, NonFiniteState
 from gmdiff.mixture import sample_array
-from gmdiff.solvers import _corrector_overdamped
+from gmdiff.solvers import FourierField, _corrector_overdamped
 
 from conftest import make_random_spec
 
@@ -110,6 +111,60 @@ class TestScoreModel:
                   for t in np.linspace(0.25, 7.75, 12)]
             rms = math.sqrt(sum(sq) / len(sq))
             assert 0.9 <= rms <= 1.1, seed
+
+
+class TestFourierField:
+    @staticmethod
+    def reference(field, x, t):
+        # float64 evaluation of sqrt(2) cos(x W^T + t w + phi) A^T from the
+        # stored float32 parameters
+        freq = field.freq.astype(np.float64)
+        d = x.shape[1]
+        arg = x @ freq[:, :d].T + t * freq[:, d] + freq[:, d + 1]
+        return math.sqrt(2.0) * np.cos(arg) @ field.amp.astype(np.float64).T
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_holds_two_float32_arrays(self, d):
+        field = FourierField.create(d, seed=4)
+        assert [f.name for f in dataclasses.fields(field)] == ["freq", "amp"]
+        assert field.freq.shape == (64, d + 2) and field.freq.dtype == np.float32
+        assert field.amp.shape == (d, 64) and field.amp.dtype == np.float32
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_float64_reference(self, d):
+        field = FourierField.create(d, seed=10 + d)
+        x = 2.0 * np.random.default_rng(d).standard_normal((3000, d))
+        for t in (0.0, 0.4, 3.0, 8.0):
+            u = field(x, t)
+            assert u.shape == (3000, d) and u.dtype == np.float64
+            np.testing.assert_allclose(u, self.reference(field, x, t), rtol=0, atol=5e-6)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_alone_matches_batch(self, d):
+        field = FourierField.create(d, seed=20 + d)
+        x = np.random.default_rng(30 + d).standard_normal((5000, d))
+        batch = field(x, 1.3)
+        for i in (0, 17, 4999):
+            np.testing.assert_allclose(field(x[i:i + 1], 1.3), batch[i:i + 1],
+                                       rtol=0, atol=5e-6)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rescaled_scales_output(self, d):
+        field = FourierField.create(d, seed=40 + d)
+        x = np.random.default_rng(d).standard_normal((500, d))
+        # float32 accumulation over 64 features: an absolute, not relative, error
+        np.testing.assert_allclose(field.rescaled(0.37)(x, 2.0), 0.37 * field(x, 2.0),
+                                   rtol=0, atol=5e-6)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_seed_is_bitwise_equal(self, d):
+        spec = make_random_spec(d, 2, seed=50 + d)
+        a = make_score_model(spec, "perturbed", 0.1, seed=9)
+        b = make_score_model(spec, "perturbed", 0.1, seed=9)
+        x = np.random.default_rng(d).standard_normal((400, d))
+        np.testing.assert_array_equal(a.field.freq, b.field.freq)
+        np.testing.assert_array_equal(a.field.amp, b.field.amp)
+        np.testing.assert_array_equal(a(0.7, x), b(0.7, x))
 
 
 class TestStepFunctions:
@@ -227,7 +282,35 @@ class TestRunSampler:
         grid = uniform_grid(2.0, 8)
         with pytest.raises(NonFiniteState) as exc_info:
             run_sampler(model, grid, "em", 10, seed=11)
-        assert exc_info.value.step_index >= 0
+        exc = exc_info.value
+        assert exc.step_index >= 0
+        # the failing state sits at the right end of the step's interval
+        assert exc.t_forward == pytest.approx(2.0 - 0.25 * (exc.step_index + 1), abs=1e-12)
+        assert 0 <= exc.chain < 10
+        assert f"step {exc.step_index}" in str(exc) and f"chain {exc.chain}" in str(exc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e15])
+    def test_divergence_names_first_bad_chain(self, anchor, bad):
+        exact = make_score_model(anchor)
+        calls = []
+
+        class ThirdCallBlowsUp:
+            spec0, kind, epsilon0 = exact.spec0, exact.kind, exact.epsilon0
+
+            def __call__(self, t, x):
+                calls.append(t)
+                s = exact(t, x)
+                if len(calls) == 3:
+                    s = s.copy()
+                    s[[6, 2]] = bad
+                return s
+
+        with pytest.raises(NonFiniteState) as exc_info:
+            run_sampler(ThirdCallBlowsUp(), uniform_grid(2.0, 8), "ei", 10, seed=11)
+        exc = exc_info.value
+        assert (exc.step_index, exc.chain) == (2, 2)
+        assert exc.t_forward == pytest.approx(1.25, abs=1e-12)
+        assert "step 2" in str(exc) and "chain 2" in str(exc) and "1.25" in str(exc)
 
     def test_rejects_unknown_scheme(self, anchor):
         with pytest.raises(ValueError):
@@ -311,13 +394,19 @@ class TestPredictorCorrector:
             def __call__(self, t, x):
                 calls.append(t)
                 s = exact(t, x)
-                return np.full_like(s, bad) if len(calls) == 3 else s
+                if len(calls) == 3:
+                    s = s.copy()
+                    s[[7, 9]] = bad
+                return s
 
         with pytest.raises(NonFiniteState) as info:
             run_predictor_corrector(LastKickBlowsUp(), T=0.5, h_pred=0.5, h_corr=0.01,
                                     corr_steps_per_node=1, variant="underdamped",
                                     n=10, seed=2)
         assert info.value.step_index == 0
+        assert info.value.chain == 7
+        assert info.value.t_forward == 0.0
+        assert "chain 7" in str(info.value) and "(v)" in str(info.value)
         assert len(calls) == 3
 
     def test_rejects_bad_arguments(self, anchor):
