@@ -28,7 +28,7 @@ from .errors import (
     ParamsOutOfRange,
     TooFewSamples,
 )
-from .mixture import GmmSpec, density
+from .mixture import GmmSpec, _blockwise, density
 from .samples import SampleBatch
 
 _BETA_GAMMA_CAP = 0.0999  # keeps beta, gamma strictly below the 0.1 range limit
@@ -189,6 +189,21 @@ class RegionCheck:
     failures: tuple = ()
 
 
+def _mean_distances(spec_t: GmmSpec, a_t: float, x) -> np.ndarray:
+    """|x - a_t mu_i| per point and component: (n, k), or (k,) for one point.
+
+    The differences are laid out component-major, (k, d, block), and taken
+    in point blocks, so no (n, k, d) array is built.
+    """
+    centers = (a_t * spec_t.means)[:, :, None]
+
+    def kernel(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
+        diff = np.ascontiguousarray(pts.T) - centers
+        return np.sqrt(np.add.reduce(diff * diff, axis=1)).T
+
+    return _blockwise(spec_t, x, kernel, (spec_t.k,))
+
+
 def region_check(spec_t: GmmSpec, a_t: float, x, params: ConditionParams) -> RegionCheck:
     """True iff beta <= |x - a_t mu_i| <= R for every component i and
     density(x) >= gamma. On failure, reports which clause broke and where."""
@@ -196,8 +211,7 @@ def region_check(spec_t: GmmSpec, a_t: float, x, params: ConditionParams) -> Reg
     if x.shape != (spec_t.dim,):
         raise DimensionMismatch(f"point has shape {x.shape}, expected ({spec_t.dim},)")
     failures = []
-    dists = np.linalg.norm(x[None, :] - a_t * spec_t.means, axis=1)
-    for i, r in enumerate(dists):
+    for i, r in enumerate(_mean_distances(spec_t, a_t, x)):
         if r < params.beta:
             failures.append(("below_beta", i))
         elif r > params.R:
@@ -213,7 +227,7 @@ def region_mask(spec_t: GmmSpec, a_t: float, points: np.ndarray,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != spec_t.dim:
         raise DimensionMismatch(f"points have shape {pts.shape}, expected (*, {spec_t.dim})")
-    dists = np.linalg.norm(pts[:, None, :] - a_t * spec_t.means[None, :, :], axis=2)
+    dists = _mean_distances(spec_t, a_t, pts)
     ok = (dists >= params.beta).all(axis=1) & (dists <= params.R).all(axis=1)
     ok &= density(spec_t, pts) >= params.gamma
     return ok
@@ -232,7 +246,7 @@ def calibrate_region(spec_t: GmmSpec, a_t: float, samples: SampleBatch) -> Condi
         raise TooFewSamples(f"need >= 1000 samples to calibrate, got {pts.shape[0]}")
     if pts.shape[1] != spec_t.dim:
         raise DimensionMismatch(f"samples have dim {pts.shape[1]}, expected {spec_t.dim}")
-    dists = np.linalg.norm(pts[:, None, :] - a_t * spec_t.means[None, :, :], axis=2)
+    dists = _mean_distances(spec_t, a_t, pts)
     R = max(1.0, float(np.percentile(dists.max(axis=1), 99.0)))
     beta = min(float(np.percentile(dists.min(axis=1), 1.0)), _BETA_GAMMA_CAP)
     if beta <= 0.0:

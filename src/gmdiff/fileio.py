@@ -4,6 +4,7 @@ sweep CSVs. Floats round-trip exactly through repr."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .bounds import BoundReport
@@ -23,8 +24,11 @@ def save_spec(spec: GmmSpec, path: str | Path) -> None:
 
 
 def save_bound_reports(reports: list[BoundReport], path: str | Path) -> None:
-    payload = [r.to_dict() for r in reports]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Write the reports as strict JSON: a non-finite value (L past the
+    double range) is written as null; its log, log_L, stays finite."""
+    payload = [{key: value if math.isfinite(value) else None
+                for key, value in r.to_dict().items()} for r in reports]
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def save_grid_csv(grid: TimeGrid, path: str | Path) -> None:

@@ -39,6 +39,8 @@ from .solvers import make_score_model, run_sampler
 
 _REF_CLAMP = 1e-12
 _MIDPOINTS_PER_AXIS = 4
+# mesh points per density call: 4 MB of coordinates at d = 2
+_MESH_SLAB = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -129,27 +131,36 @@ def _sample_cell_masses(pts: np.ndarray, grid: HistogramGrid) -> tuple[np.ndarra
 
 def reference_cell_masses(spec: GmmSpec, grid: HistogramGrid) -> tuple[np.ndarray, float]:
     """Per-cell probability mass of the mixture, by midpoint quadrature with
-    4 sub-points per axis, plus the mass outside the grid."""
+    4 sub-points per axis, plus the mass outside the grid.
+
+    The mesh is built and evaluated in slabs of whole cells, at most
+    _MESH_SLAB points each, so memory does not grow with the cell count.
+    """
     if spec.dim != grid.dim:
         raise DimensionMismatch(f"spec dim {spec.dim} != grid dim {grid.dim}")
-    m = _MIDPOINTS_PER_AXIS
-    axes = []
-    for a in range(grid.dim):
+    m, d = _MIDPOINTS_PER_AXIS, grid.dim
+    axes = []                       # per axis, the (bins, m) sub-point coordinates
+    for a in range(d):
         width = (grid.hi[a] - grid.lo[a]) / grid.bins[a]
         offsets = (np.arange(m) + 0.5) / m * width
         starts = grid.lo[a] + np.arange(grid.bins[a]) * width
-        axes.append((starts[:, None] + offsets[None, :]).ravel())
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    dens = np.asarray(density(spec, pts))
-    fine_shape = []
-    for a in range(grid.dim):
-        fine_shape.extend([int(grid.bins[a]), m])
-    dens = dens.reshape(fine_shape)
-    # average the m sub-points on every axis
-    for a in reversed(range(grid.dim)):
-        dens = dens.mean(axis=2 * a + 1)
-    masses = dens * grid.cell_volume
+        axes.append(starts[:, None] + offsets[None, :])
+    n_cells = int(np.prod(grid.bins))
+    per_slab = max(1, _MESH_SLAB // m ** d)
+    masses = np.empty(n_cells)
+    for lo in range(0, n_cells, per_slab):
+        cells = np.arange(lo, min(lo + per_slab, n_cells))
+        pts = np.empty((len(cells),) + (m,) * d + (d,))
+        for a, idx in enumerate(np.unravel_index(cells, grid.bins)):
+            shape = [len(cells)] + [1] * d
+            shape[1 + a] = m
+            pts[..., a] = axes[a][idx].reshape(shape)
+        dens = np.asarray(density(spec, pts.reshape(-1, d))).reshape(pts.shape[:-1])
+        # average the m sub-points on every axis, last axis first
+        for a in reversed(range(d)):
+            dens = dens.mean(axis=1 + a)
+        masses[lo:lo + len(cells)] = dens
+    masses = masses.reshape(grid.bins) * grid.cell_volume
     return masses, float(max(0.0, 1.0 - masses.sum()))
 
 

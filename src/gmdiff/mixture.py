@@ -7,7 +7,9 @@ Cholesky at validation time; singular (PSD-but-rank-deficient) matrices
 are rejected rather than regularized.
 
 Every pointwise operation accepts either a single point of shape (d,)
-or a batch of shape (n, d) and vectorizes over the batch.
+or a batch of shape (n, d) and vectorizes over the batch in fixed blocks
+of at most 8192 points, so the memory it needs beyond its output does
+not grow with n.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .samples import SampleBatch
 _SYM_TOL = 1e-10
 _WEIGHT_TOL = 1e-10
 _CHOL_TOL = 1e-10
+# points per kernel call: the (k, d, block) temporaries stay a few MB
+# whatever the batch size
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,23 @@ def _check_points(spec: GmmSpec, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+def _blockwise(spec: GmmSpec, x, kernel, shape: tuple = ()) -> np.ndarray:
+    """Apply kernel(spec, pts) -> (m, *shape) to blocks of at most _BLOCK
+    points of x and gather the results in one (n, *shape) array; a single
+    point of shape (d,) gives the (*shape) result for that point."""
+    pts, single = _check_points(spec, x)
+    n = pts.shape[0]
+    if n <= _BLOCK:
+        # one block needs no gathering: copying the transposed kernel
+        # result adds about 4% to a 1000-point score call
+        out = kernel(spec, pts)
+    else:
+        out = np.empty((n, *shape))
+        for lo in range(0, n, _BLOCK):
+            out[lo:lo + _BLOCK] = kernel(spec, pts[lo:lo + _BLOCK])
+    return out[0] if single else out
+
+
 def _posterior(spec: GmmSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Component-major log terms and pulls at the points.
 
@@ -210,15 +232,36 @@ def _normalized(logs: np.ndarray) -> np.ndarray:
     return w
 
 
-def log_density(spec: GmmSpec, x) -> float | np.ndarray:
-    """log p(x) via log-sum-exp over per-component log terms."""
-    pts, single = _check_points(spec, x)
+def _log_density_block(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
     logs = _posterior(spec, pts)[0]
     top = logs.max(axis=0)
     top[~np.isfinite(top)] = 0.0                # far points: log p = -inf, not NaN
     with np.errstate(divide="ignore"):
-        lse = top + np.log(np.exp(logs - top).sum(axis=0))
-    return float(lse[0]) if single else lse
+        return top + np.log(np.exp(logs - top).sum(axis=0))
+
+
+def _responsibilities_block(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
+    return _normalized(_posterior(spec, pts)[0]).T
+
+
+def _score_block(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
+    logs, pulls = _posterior(spec, pts)
+    return np.einsum("kn,kdn->nd", _normalized(logs), pulls)
+
+
+def _score_jacobian_block(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
+    logs, pulls = _posterior(spec, pts)
+    f = _normalized(logs)                                       # (k, n)
+    dev = pulls - np.einsum("kn,kdn->dn", f, pulls)             # g_i - s
+    hess = np.einsum("kn,kdn,ken->nde", f, dev, dev)
+    hess -= np.einsum("kn,kde->nde", f, spec.inv_covs)
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+
+
+def log_density(spec: GmmSpec, x) -> float | np.ndarray:
+    """log p(x) via log-sum-exp over per-component log terms."""
+    lse = _blockwise(spec, x, _log_density_block)
+    return float(lse) if lse.ndim == 0 else lse
 
 
 def density(spec: GmmSpec, x) -> float | np.ndarray:
@@ -228,9 +271,7 @@ def density(spec: GmmSpec, x) -> float | np.ndarray:
 
 def responsibilities(spec: GmmSpec, x) -> Responsibilities:
     """Posterior component weights f_i(x) = alpha_i N_i(x) / sum_j alpha_j N_j(x)."""
-    pts, single = _check_points(spec, x)
-    f = _normalized(_posterior(spec, pts)[0]).T
-    return Responsibilities(values=f[0] if single else f)
+    return Responsibilities(values=_blockwise(spec, x, _responsibilities_block, (spec.k,)))
 
 
 def score(spec: GmmSpec, x) -> np.ndarray:
@@ -238,10 +279,7 @@ def score(spec: GmmSpec, x) -> np.ndarray:
 
     Reduces exactly to -Sigma^{-1}(x - mu) when k = 1.
     """
-    pts, single = _check_points(spec, x)
-    logs, pulls = _posterior(spec, pts)
-    s = np.einsum("kn,kdn->nd", _normalized(logs), pulls)
-    return s[0] if single else s
+    return _blockwise(spec, x, _score_block, (spec.dim,))
 
 
 def score_jacobian(spec: GmmSpec, x) -> np.ndarray:
@@ -252,14 +290,7 @@ def score_jacobian(spec: GmmSpec, x) -> np.ndarray:
     centered form avoids cancellation and gives exactly -Sigma^{-1} when
     k = 1.
     """
-    pts, single = _check_points(spec, x)
-    logs, pulls = _posterior(spec, pts)
-    f = _normalized(logs)                                       # (k, n)
-    dev = pulls - np.einsum("kn,kdn->dn", f, pulls)             # g_i - s
-    hess = np.einsum("kn,kdn,ken->nde", f, dev, dev)
-    hess -= np.einsum("kn,kde->nde", f, spec.inv_covs)
-    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-    return hess[0] if single else hess
+    return _blockwise(spec, x, _score_jacobian_block, (spec.dim, spec.dim))
 
 
 def sample(spec: GmmSpec, n: int, seed: int) -> SampleBatch:

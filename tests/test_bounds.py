@@ -27,7 +27,8 @@ from gmdiff.errors import (
     ParamsOutOfRange,
     TooFewSamples,
 )
-from gmdiff.mixture import log_density, sample_array
+from gmdiff.mixture import density, log_density, sample_array
+from gmdiff.samples import SampleBatch
 
 from conftest import make_random_spec
 
@@ -269,6 +270,31 @@ class TestCalibrateRegion:
     def test_too_few_samples(self, std1d):
         with pytest.raises(TooFewSamples):
             calibrate_region(std1d, 1.0, sample(std1d, 999, seed=1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_matches_point_major_distances(self, d):
+        # the distances |x - a_t mu_i| are taken component-major in point
+        # blocks; a sum of fewer than 8 squares keeps its order, so R, beta and
+        # the mask equal the point-major norm's bit for bit, while at d = 10
+        # numpy's pairwise summation of the norm may round differently
+        from gmdiff import ou_coefficients
+        spec_t = marginal_at(make_random_spec(d, 3, seed=80 + d), 0.3)
+        a_t = ou_coefficients(0.3).a
+        pts = sample(spec_t, 20000, seed=90 + d).points
+        params = calibrate_region(spec_t, a_t, SampleBatch(points=pts, meta={}))
+        dists = np.linalg.norm(pts[:, None, :] - a_t * spec_t.means[None, :, :], axis=2)
+        R = max(1.0, float(np.percentile(dists.max(axis=1), 99.0)))
+        beta = min(float(np.percentile(dists.min(axis=1), 1.0)), 0.0999)
+        rel = 0.0 if d <= 3 else 1e-12
+        assert params.R == pytest.approx(R, rel=rel, abs=0)
+        assert params.beta == pytest.approx(beta, rel=rel, abs=0)
+        ref_mask = ((dists >= params.beta).all(axis=1) & (dists <= params.R).all(axis=1)
+                    & (density(spec_t, pts) >= params.gamma))
+        mask = region_mask(spec_t, a_t, pts, params)
+        np.testing.assert_array_equal(mask, ref_mask)
+        assert 0 < mask.sum() < len(mask)
+        for i in range(0, 20000, 997):
+            assert region_check(spec_t, a_t, pts[i], params).ok == ref_mask[i]
 
     def test_fresh_samples_mostly_pass(self, anchor):
         spec_t = marginal_at(anchor, 0.5)

@@ -1,0 +1,54 @@
+"""Working-set bounds: the pointwise mixture functions and the histogram
+reference quadrature evaluate fixed-size blocks, so the memory they take
+beyond their output does not grow with the number of points.
+
+Peaks are the tracemalloc high-water mark of allocations made during the
+call (numpy reports its array buffers to tracemalloc); the input points are
+allocated before tracing starts.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gmdiff import lipschitz_suite
+from gmdiff.metrics import default_histogram_grid, reference_cell_masses
+from gmdiff.mixture import density, score, score_jacobian
+
+MB = 1 << 20
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def spec_d2_k5():
+    spec = lipschitz_suite()[5]
+    assert (spec.dim, spec.k) == (2, 5)
+    return spec
+
+
+@pytest.mark.parametrize("fn", [density, score, score_jacobian],
+                         ids=["density", "score", "score_jacobian"])
+def test_pointwise_peak_is_output_plus_bounded_blocks(spec_d2_k5, fn):
+    pts = np.random.default_rng(3).normal(scale=3.0, size=(200000, 2))
+    out, peak = traced_peak(fn, spec_d2_k5, pts)
+    assert out.shape[0] == 200000
+    assert peak < out.nbytes + 8 * MB, f"peak {peak / MB:.1f} MB, output {out.nbytes / MB:.1f} MB"
+
+
+def test_reference_cell_masses_peak_on_default_grid(spec_d2_k5):
+    grid = default_histogram_grid(spec_d2_k5)
+    assert list(grid.bins) == [200, 200]
+    (masses, _), peak = traced_peak(reference_cell_masses, spec_d2_k5, grid)
+    assert masses.shape == (200, 200)
+    assert peak < 16 * MB, f"peak {peak / MB:.1f} MB"

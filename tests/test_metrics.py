@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import gmdiff.metrics
 from gmdiff import (
     ConditionParams,
     HistogramGrid,
@@ -25,7 +26,7 @@ from gmdiff.metrics import (
     reference_cell_masses,
     spectral_norms,
 )
-from gmdiff.mixture import score_jacobian
+from gmdiff.mixture import density, score_jacobian
 
 from conftest import make_random_spec
 
@@ -48,6 +49,49 @@ class TestHistogramGrid:
         masses, outside = reference_cell_masses(anchor, g)
         assert masses.sum() + outside == pytest.approx(1.0, abs=1e-6)
         assert outside < 1e-6
+
+
+def _whole_mesh_cell_masses(spec, grid):
+    """The midpoint quadrature with the whole mesh in one density call, laid
+    out axis by axis: the reference for the slabbed evaluation."""
+    m = 4
+    axes = []
+    for a in range(grid.dim):
+        width = (grid.hi[a] - grid.lo[a]) / grid.bins[a]
+        offsets = (np.arange(m) + 0.5) / m * width
+        starts = grid.lo[a] + np.arange(grid.bins[a]) * width
+        axes.append((starts[:, None] + offsets[None, :]).ravel())
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    fine_shape = []
+    for a in range(grid.dim):
+        fine_shape.extend([int(grid.bins[a]), m])
+    dens = np.asarray(density(spec, pts)).reshape(fine_shape)
+    for a in reversed(range(grid.dim)):
+        dens = dens.mean(axis=2 * a + 1)
+    masses = dens * grid.cell_volume
+    return masses, float(max(0.0, 1.0 - masses.sum()))
+
+
+class TestReferenceCellMasses:
+    # d = 3 keeps 10 bins on the last two axes: the whole-mesh reference at
+    # 100^3 cells would need 64M points
+    @pytest.mark.parametrize("slab", [None, 1000], ids=["default-slab", "slab-1000"])
+    @pytest.mark.parametrize("bins", [100, 200])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slabs_match_whole_mesh(self, d, bins, slab, monkeypatch):
+        if slab is not None:
+            monkeypatch.setattr(gmdiff.metrics, "_MESH_SLAB", slab)
+        spec = {1: lipschitz_suite()[2], 2: lipschitz_suite()[5],
+                3: make_random_spec(3, 3, seed=41)}[d]
+        grid = default_histogram_grid(spec, bins=bins)
+        if d == 3:
+            grid = HistogramGrid(lo=grid.lo, hi=grid.hi, bins=[bins, 10, 10])
+        masses, outside = reference_cell_masses(spec, grid)
+        ref, ref_outside = _whole_mesh_cell_masses(spec, grid)
+        assert masses.shape == ref.shape
+        np.testing.assert_allclose(masses, ref, rtol=1e-12, atol=0)
+        assert outside == pytest.approx(ref_outside, rel=0, abs=1e-12)
 
 
 class TestTvHistogram:
