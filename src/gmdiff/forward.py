@@ -54,10 +54,9 @@ def affine_push(spec: GmmSpec, a: float, b: float) -> GmmSpec:
     if a == 1.0 and b == 0.0:
         return spec
     d = spec.dim
-    eye = np.eye(d)
-    new_covs = (a * a) * spec.covs + (b * b) * eye
+    new_covs = (a * a) * spec.covs + (b * b) * np.eye(d)
     chols = np.linalg.cholesky(new_covs)
-    inv_covs = np.linalg.solve(new_covs, np.broadcast_to(eye, new_covs.shape).copy())
+    inv_covs = np.linalg.inv(new_covs)
     inv_covs = 0.5 * (inv_covs + np.swapaxes(inv_covs, -1, -2))
     log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
     return GmmSpec(dim=d, weights=spec.weights, means=a * spec.means,

@@ -135,6 +135,9 @@ def reference_cell_masses(spec: GmmSpec, grid: HistogramGrid) -> tuple[np.ndarra
 
     The mesh is built and evaluated in slabs of whole cells, at most
     _MESH_SLAB points each, so memory does not grow with the cell count.
+    A slab fixes the axes before a split axis, takes a run of bins on it
+    and every bin after it, so each coordinate is a broadcast of one axis's
+    sub-point rows.
     """
     if spec.dim != grid.dim:
         raise DimensionMismatch(f"spec dim {spec.dim} != grid dim {grid.dim}")
@@ -145,22 +148,28 @@ def reference_cell_masses(spec: GmmSpec, grid: HistogramGrid) -> tuple[np.ndarra
         offsets = (np.arange(m) + 0.5) / m * width
         starts = grid.lo[a] + np.arange(grid.bins[a]) * width
         axes.append(starts[:, None] + offsets[None, :])
-    n_cells = int(np.prod(grid.bins))
-    per_slab = max(1, _MESH_SLAB // m ** d)
-    masses = np.empty(n_cells)
-    for lo in range(0, n_cells, per_slab):
-        cells = np.arange(lo, min(lo + per_slab, n_cells))
-        pts = np.empty((len(cells),) + (m,) * d + (d,))
-        for a, idx in enumerate(np.unravel_index(cells, grid.bins)):
-            shape = [len(cells)] + [1] * d
-            shape[1 + a] = m
-            pts[..., a] = axes[a][idx].reshape(shape)
-        dens = np.asarray(density(spec, pts.reshape(-1, d))).reshape(pts.shape[:-1])
-        # average the m sub-points on every axis, last axis first
-        for a in reversed(range(d)):
-            dens = dens.mean(axis=1 + a)
-        masses[lo:lo + len(cells)] = dens
-    masses = masses.reshape(grid.bins) * grid.cell_volume
+    bins = [int(b) for b in grid.bins]
+    split = 0
+    while split < d - 1 and m ** d * math.prod(bins[split + 1:]) > _MESH_SLAB:
+        split += 1
+    run = max(1, _MESH_SLAB // (m ** d * math.prod(bins[split + 1:])))
+    masses = np.empty(bins)
+    for prefix in np.ndindex(*bins[:split]):
+        for lo in range(0, bins[split], run):
+            parts = ([axes[a][i:i + 1] for a, i in enumerate(prefix)]
+                     + [axes[split][lo:lo + run]] + axes[split + 1:])
+            lead = [len(p) for p in parts]
+            pts = np.empty(lead + [m] * d + [d])
+            for a, p in enumerate(parts):
+                shape = [1] * (2 * d)
+                shape[a], shape[d + a] = lead[a], m
+                pts[..., a] = p.reshape(shape)
+            dens = np.asarray(density(spec, pts.reshape(-1, d))).reshape(pts.shape[:-1])
+            # average the m sub-points on every axis, last axis first
+            for a in reversed(range(d)):
+                dens = dens.mean(axis=d + a)
+            masses[prefix + (slice(lo, lo + run),)] = dens.reshape(lead[split:])
+    masses *= grid.cell_volume
     return masses, float(max(0.0, 1.0 - masses.sum()))
 
 

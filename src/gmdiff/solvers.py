@@ -93,10 +93,15 @@ class ScoreModel:
     epsilon0 times a fixed unit-RMS Fourier field, so the grid-weighted
     mean-squared score error is epsilon0^2 up to Monte-Carlo accuracy.
 
-    The marginal at the last time asked for is kept, so repeated calls at
-    one time (the corrector kicks and the next predictor) build it once.
-    It is stored as one (t, spec_t) tuple: a model shared across threads
-    always reads a consistent pair.
+    The last evaluation is kept as one (t, spec_t, x_key, s) tuple. A call
+    at the same t reuses the marginal (the corrector kicks and the next
+    predictor share a time); one whose x also has the same shape, dtype and
+    bytes (so +0.0 and -0.0 differ) returns the stored score (the closing
+    BAOAB kick and the next kick or predictor share a point). The key is a
+    private copy of x and every call returns a fresh C-contiguous array, so
+    mutating the argument or the result cannot corrupt the memo. The tuple
+    is written in one step: threads sharing a model always read a
+    consistent entry.
     """
 
     spec0: GmmSpec
@@ -107,14 +112,21 @@ class ScoreModel:
     _last: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        x_key = (x.shape, x.dtype, x.tobytes())
         last = self._last
-        if last is None or last[0] != t:
-            last = (t, marginal_at(self.spec0, t))
-            object.__setattr__(self, "_last", last)
-        s = score(last[1], x)
+        if last is not None and last[0] == t:
+            if x_key == last[2]:
+                return last[3].copy()
+            spec_t = last[1]
+        else:
+            spec_t = marginal_at(self.spec0, t)
+        s = score(spec_t, x)
         if self.kind == "perturbed":
             s = s + self.epsilon0 * self.field(np.atleast_2d(x), t).reshape(s.shape)
-        return s
+        s = np.ascontiguousarray(s)
+        object.__setattr__(self, "_last", (t, spec_t, x_key, s))
+        return s.copy()
 
 
 _PROBE_HORIZON = 8.0
@@ -241,12 +253,15 @@ def _corrector_underdamped(model: ScoreModel, t_fwd: float, y: np.ndarray,
     # BAOAB splitting of kinetic Langevin at unit temperature and mass
     c1 = math.exp(-friction * h)
     c2 = math.sqrt(-math.expm1(-2.0 * friction * h))
+    half = 0.5 * h
+    y, v = y.copy(), v.copy()
     for _ in range(steps):
-        v = v + 0.5 * h * model(t_fwd, y)
-        y = y + 0.5 * h * v
-        v = c1 * v + c2 * rng.standard_normal(v.shape)
-        y = y + 0.5 * h * v
-        v = v + 0.5 * h * model(t_fwd, y)
+        v += half * model(t_fwd, y)
+        y += half * v
+        v *= c1
+        v += c2 * rng.standard_normal(v.shape)
+        y += half * v
+        v += half * model(t_fwd, y)
     return y, v
 
 

@@ -64,6 +64,19 @@ class TestAffinePush:
         with pytest.raises(ZeroScale):
             affine_push(anchor, 0.0, 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_precisions_equal_a_solve_against_the_identity(self, d, k):
+        # the precisions are bitwise those of a batched solve against I
+        for seed in range(4):
+            spec = make_random_spec(d, k, seed=100 * d + 10 * k + seed)
+            for a, b in ((1.0, 0.3), (0.7, 0.6), (0.05, 0.99)):
+                pushed = affine_push(spec, a, b)
+                eye = np.broadcast_to(np.eye(d), pushed.covs.shape).copy()
+                ref = np.linalg.solve(pushed.covs, eye)
+                ref = 0.5 * (ref + np.swapaxes(ref, -1, -2))
+                np.testing.assert_array_equal(pushed.inv_covs, ref)
+
     @given(st.integers(0, 2 ** 31), st.floats(0.1, 2.0), st.floats(0.0, 2.0),
            st.floats(0.1, 2.0), st.floats(0.0, 2.0))
     @settings(max_examples=30, deadline=None)

@@ -21,9 +21,24 @@ from gmdiff import (
 )
 from gmdiff.errors import NegativeEpsilon, NonFiniteState
 from gmdiff.mixture import sample_array
-from gmdiff.solvers import FourierField, _corrector_overdamped
+from gmdiff.solvers import FourierField, _corrector_overdamped, _corrector_underdamped
 
 from conftest import make_random_spec
+
+
+class _Recomputing:
+    """score(marginal_at(spec0, t), x), plus the field when perturbed, on
+    every call: the memo-free reference for ScoreModel."""
+
+    def __init__(self, model):
+        self.spec0, self.kind, self.epsilon0 = model.spec0, model.kind, model.epsilon0
+        self.field = model.field
+
+    def __call__(self, t, x):
+        s = score(marginal_at(self.spec0, t), x)
+        if self.kind == "perturbed":
+            s = s + self.epsilon0 * self.field(np.atleast_2d(x), t).reshape(s.shape)
+        return s
 
 
 class TestScoreModel:
@@ -42,20 +57,17 @@ class TestScoreModel:
         for t in (0.3, 1.7, 0.3, 0.3, 1.7):
             np.testing.assert_array_equal(model(t, x), score(marginal_at(spec, t), x))
 
-    def test_memo_is_consistent_when_shared_across_threads(self):
+    @staticmethod
+    def _all_threads_agree(model, calls, expected):
+        """Six threads cycle through (t, x) calls on one shared model, each
+        call twice in a row; True when every result equals its expected one."""
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        spec = make_random_spec(2, 3, seed=6)
-        model = make_score_model(spec)
-        x = np.random.default_rng(8).normal(size=(16, 2))
-        times = (0.2, 0.9, 2.5, 4.0, 5.5, 7.0)
-        expected = {t: score(marginal_at(spec, t), x) for t in times}
-
         def worker(offset):
-            for j in range(150):
-                t = times[(offset + j) % len(times)]
-                if not np.array_equal(model(t, x), expected[t]):
+            for j in range(300):
+                i = (offset + j // 2) % len(calls)
+                if not np.array_equal(model(*calls[i]), expected[i]):
                     return False
             return True
 
@@ -67,7 +79,63 @@ class TestScoreModel:
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert all(results)
+        return all(results)
+
+    def test_memo_is_consistent_when_shared_across_threads(self):
+        spec = make_random_spec(2, 3, seed=6)
+        x = np.random.default_rng(8).normal(size=(16, 2))
+        calls = [(t, x) for t in (0.2, 0.9, 2.5, 4.0, 5.5, 7.0)]
+        expected = [score(marginal_at(spec, t), x) for t, x in calls]
+        assert self._all_threads_agree(make_score_model(spec), calls, expected)
+
+    def test_memo_is_consistent_when_threads_share_one_time(self):
+        spec = make_random_spec(2, 3, seed=6)
+        rng = np.random.default_rng(9)
+        calls = [(1.3, rng.normal(size=(16, 2))) for _ in range(6)]
+        expected = [score(marginal_at(spec, t), x) for t, x in calls]
+        assert self._all_threads_agree(make_score_model(spec), calls, expected)
+
+    @pytest.mark.parametrize("kind", ["exact", "perturbed"])
+    def test_mutating_argument_or_result_leaves_memo_intact(self, kind):
+        spec = make_random_spec(2, 3, seed=10)
+        model = make_score_model(spec, kind, 0.3, seed=4)
+        reference = _Recomputing(model)
+        x = np.random.default_rng(11).normal(size=(40, 2))
+        expected = reference(0.6, x)
+        first = model(0.6, x)
+        assert first.flags.c_contiguous
+        first[:] = 99.0
+        np.testing.assert_array_equal(model(0.6, x), expected)
+        y = x.copy()
+        model(0.6, y)
+        y[3] += 1.0
+        np.testing.assert_array_equal(model(0.6, y), reference(0.6, y))
+        np.testing.assert_array_equal(model(0.6, x), expected)
+
+    def test_signed_zeros_and_nans_match_recomputation(self, monkeypatch):
+        computed = []
+
+        def counting(spec, x):
+            computed.append(1)
+            return score(spec, x)
+
+        monkeypatch.setattr(gmdiff.solvers, "score", counting)
+        spec = make_random_spec(2, 2, seed=12)
+        model = make_score_model(spec)
+        spec_t = marginal_at(spec, 0.8)
+        x = np.random.default_rng(13).normal(size=(8, 2))
+        x[:3, 0] = 0.0
+        negative = x.copy()
+        negative[:3, 0] = -0.0
+        # +0.0 and -0.0 are different keys, so each switch recomputes
+        for pts, n_computed in ((x, 1), (negative, 2), (x, 3)):
+            np.testing.assert_array_equal(model(0.8, pts), score(spec_t, pts))
+            assert len(computed) == n_computed
+        # a NaN equals its own bits: the repeat is served from the memo
+        x[5] = np.nan
+        for _ in range(2):
+            np.testing.assert_array_equal(model(0.8, x), score(spec_t, x))
+            assert len(computed) == 4
 
     def test_zero_epsilon_forces_exact(self, anchor):
         model = make_score_model(anchor, "perturbed", 0.0, seed=3)
@@ -468,3 +536,64 @@ class TestPredictorCorrector:
         with pytest.raises(ValueError):
             run_predictor_corrector(model, T=1.0, h_pred=0.1, h_corr=0.1,
                                     corr_steps_per_node=1, variant="dpom")
+
+
+def _sample_points(model, solver, corr_steps=2, n_steps=30):
+    if solver in ("em", "ei"):
+        return run_sampler(model, uniform_grid(3.0, n_steps), solver, 200, seed=6).points
+    variant = "overdamped" if solver == "dpom" else "underdamped"
+    return run_predictor_corrector(model, T=3.0, h_pred=3.0 / n_steps, h_corr=0.02,
+                                   corr_steps_per_node=corr_steps, variant=variant,
+                                   n=200, seed=6).points
+
+
+class TestScoreMemoInSamplers:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["exact", "perturbed"])
+    @pytest.mark.parametrize("solver", ["em", "ei", "dpom", "dpum"])
+    def test_output_equals_memo_free_model(self, solver, kind, d):
+        model = make_score_model(make_random_spec(d, 3, seed=20 + d), kind, 0.2, seed=5)
+        np.testing.assert_array_equal(_sample_points(model, solver),
+                                      _sample_points(_Recomputing(model), solver))
+
+    # BAOAB: each node computes its first opening kick and every closing
+    # kick; the next opening kick and the next predictor reuse the last one,
+    # so only the first predictor adds to (c + 1) per node. The other
+    # samplers move y between any two calls and never reuse.
+    @pytest.mark.parametrize("solver, corr_steps, expected", [
+        ("em", 0, 12), ("ei", 0, 12), ("dpom", 2, 3 * 12),
+        ("dpum", 1, 2 * 12 + 1), ("dpum", 2, 3 * 12 + 1), ("dpum", 3, 4 * 12 + 1)])
+    def test_scores_computed(self, anchor, monkeypatch, solver, corr_steps, expected):
+        computed = []
+
+        def counting(spec, x):
+            computed.append(1)
+            return score(spec, x)
+
+        monkeypatch.setattr(gmdiff.solvers, "score", counting)
+        _sample_points(make_score_model(anchor), solver, corr_steps, n_steps=12)
+        assert len(computed) == expected
+
+    def test_in_place_baoab_matches_out_of_place_reference(self):
+        model = make_score_model(make_random_spec(2, 3, seed=30))
+        rng = np.random.default_rng(31)
+        y0, v0 = rng.normal(size=(50, 2)), rng.normal(size=(50, 2))
+        inputs = (y0.copy(), v0.copy())
+        h, friction, steps, t = 0.03, 2.0, 3, 0.7
+        y, v = _corrector_underdamped(model, t, y0, v0, h, steps, friction,
+                                      np.random.default_rng(32))
+        ref_rng = np.random.default_rng(32)
+        s = _Recomputing(model)
+        c1 = math.exp(-friction * h)
+        c2 = math.sqrt(-math.expm1(-2.0 * friction * h))
+        ry, rv = y0, v0
+        for _ in range(steps):
+            rv = rv + 0.5 * h * s(t, ry)
+            ry = ry + 0.5 * h * rv
+            rv = c1 * rv + c2 * ref_rng.standard_normal(rv.shape)
+            ry = ry + 0.5 * h * rv
+            rv = rv + 0.5 * h * s(t, ry)
+        np.testing.assert_array_equal(y, ry)
+        np.testing.assert_array_equal(v, rv)
+        np.testing.assert_array_equal(y0, inputs[0])
+        np.testing.assert_array_equal(v0, inputs[1])
