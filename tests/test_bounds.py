@@ -20,7 +20,7 @@ from gmdiff import (
     standard_normal_spec,
     validate_spec,
 )
-from gmdiff.bounds import SpectralSummary, bound_report, region_mask
+from gmdiff.bounds import SpectralSummary, _mean_distances, bound_report, region_mask
 from gmdiff.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -68,6 +68,16 @@ class TestSpectralSummary:
         assert s.sigma_min == pytest.approx(min(e[0] for e in eigs), abs=1e-10)
         assert s.sigma_max == pytest.approx(max(e[-1] for e in eigs), abs=1e-10)
         assert s.det_min == pytest.approx(min(np.prod(e) for e in eigs), rel=1e-10)
+
+    def test_log_det_min_survives_determinant_underflow(self):
+        # 0.01 I at d = 400 has determinant e^-1842, which is 0 in doubles
+        s = spectral_summary(validate_spec([(1.0, np.zeros(400), 0.01 * np.eye(400))]))
+        assert s.det_min == 0.0
+        assert s.log_det_min == pytest.approx(400 * math.log(0.01), rel=1e-12)
+
+    def test_log_det_min_defaults_to_log_of_det_min(self):
+        s = SpectralSummary(sigma_min=0.5, sigma_max=2.0, det_min=0.7, mu_max=1.0)
+        assert s.log_det_min == math.log(0.7)
 
     def test_det_bounds_invariant(self):
         spec = make_random_spec(3, 4, seed=78)
@@ -117,6 +127,12 @@ class TestLipschitzConstant:
         L = lipschitz_constant(summ, params, 400)
         assert L.value == math.inf
         assert math.isfinite(L.log_value) and L.log_value > 709.8
+
+    def test_underflowed_determinant_uses_its_log(self):
+        summ = SpectralSummary(sigma_min=0.01, sigma_max=0.01, det_min=0.0, mu_max=0.0,
+                               log_det_min=400 * math.log(0.01))
+        L = lipschitz_constant(summ, ConditionParams(R=3.0, beta=0.05, gamma=0.05), 400)
+        assert math.isfinite(L.log_value) and L.log_value > 1000.0
 
     @pytest.mark.parametrize("gamma", [1e-150, 1e-20, 0.05])
     def test_finite_value_keeps_linear_sum(self, gamma):
@@ -210,6 +226,12 @@ class TestKlToStandardUpper:
             res = kl_to_standard_upper(spec)
             assert res.bound >= res.convexity_bound >= 0.0
 
+    def test_finite_when_determinant_underflows(self):
+        spec = validate_spec([(1.0, np.zeros(400), 0.01 * np.eye(400))])
+        res = kl_to_standard_upper(spec)
+        # 1/2 (-400 log 0.01 + 400 * 0.01 - 400)
+        assert res.bound == pytest.approx(0.5 * (-400 * math.log(0.01) - 396.0), rel=1e-12)
+
     def test_dominates_monte_carlo_kl(self):
         spec = make_random_spec(2, 2, seed=202)
         res = kl_to_standard_upper(spec)
@@ -296,6 +318,17 @@ class TestCalibrateRegion:
         for i in range(0, 20000, 997):
             assert region_check(spec_t, a_t, pts[i], params).ok == ref_mask[i]
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mean_distances_are_component_major(self, d):
+        spec = make_random_spec(d, 4, seed=60 + d)
+        pts = sample(spec, 9000, seed=61).points     # two point blocks
+        dists = _mean_distances(spec, 0.7, pts)
+        ref = np.linalg.norm(pts[:, None, :] - 0.7 * spec.means[None, :, :], axis=2)
+        assert dists.shape == (4, 9000)
+        np.testing.assert_array_equal(dists, ref.T)
+        assert _mean_distances(spec, 0.7, pts[5]).shape == (4,)
+        np.testing.assert_array_equal(_mean_distances(spec, 0.7, pts[5]), ref[5])
+
     def test_fresh_samples_mostly_pass(self, anchor):
         spec_t = marginal_at(anchor, 0.5)
         from gmdiff import ou_coefficients
@@ -328,4 +361,5 @@ class TestBoundReport:
         rep = bound_report(anchor, 0.0, seed=1)
         d = rep.to_dict()
         assert set(d) == {"t", "L", "log_L", "m2", "M2", "kl_upper", "sigma_min",
-                          "sigma_max", "det_min", "mu_max", "R", "beta", "gamma"}
+                          "sigma_max", "det_min", "log_det_min", "mu_max", "R", "beta",
+                          "gamma"}

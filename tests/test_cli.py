@@ -3,11 +3,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gmdiff.cli
 from gmdiff.cli import main
 from gmdiff.fileio import save_spec
+from gmdiff.mixture import validate_spec
 from gmdiff.suite import standard_mixture_1d, standard_normal_spec
 
 
@@ -72,6 +74,20 @@ class TestBoundsCommand:
         assert math.isfinite(rep["log_L"])
         # past the double range L is written as null, keeping the file strict JSON
         assert rep["L"] == (None if d == 400 else pytest.approx(math.exp(rep["log_L"])))
+        assert "heuristic step count" in capsys.readouterr().out
+
+    def test_underflowing_determinant_report(self, tmp_path, capsys):
+        # 0.01 I at d = 400: the determinant e^-1842 is 0 in doubles, its log is not
+        spec = tmp_path / "tight.json"
+        save_spec(validate_spec([(1.0, np.zeros(400), 0.01 * np.eye(400))]), spec)
+        out = tmp_path / "out"
+        rc = main(["bounds", "--spec", str(spec), "--out", str(out), "--seed", "1"])
+        assert rc == 0
+        rep = json.loads((out / "bounds.json").read_text(),
+                         parse_constant=self._reject_non_standard_constant)[0]
+        assert math.isfinite(rep["log_L"])
+        assert rep["log_det_min"] == pytest.approx(400 * math.log(0.01), rel=1e-12)
+        assert rep["det_min"] == 0.0
         assert "heuristic step count" in capsys.readouterr().out
 
     def test_malformed_covariance_exit_2(self, tmp_path, capsys):

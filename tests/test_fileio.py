@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 from gmdiff import sample, uniform_grid
 from gmdiff.bounds import bound_report
+from gmdiff.errors import EmptyBatch
 from gmdiff.fileio import (
     load_spec,
     save_bound_reports,
@@ -46,6 +48,36 @@ def test_sample_batch_csv_header(tmp_path):
     csv = tmp_path / "pts.csv"
     batch.to_csv(csv)
     assert csv.read_text().splitlines()[0] == "x0,x1,x2"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sample_batch_csv_bytes_match_per_row_repr(tmp_path, d):
+    values = np.array([-0.0, 5e-324, 1e-5, 1e16, 2.0, -3.25])
+    pts = np.resize(values, (7, d))
+    csv = tmp_path / "pts.csv"
+    SampleBatch(points=pts, meta={}).to_csv(csv)
+    lines = [",".join(f"x{j}" for j in range(d))]
+    lines += [",".join(repr(float(v)) for v in row) for row in pts]
+    assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+    loaded = SampleBatch.from_csv(csv).points
+    assert loaded.shape == (7, d) and loaded.tobytes() == pts.tobytes()
+
+
+@pytest.mark.parametrize("body", ["1.0,2.0\n3.0\n", "1.0\n2.0,3.0\n",
+                                  "1.0,2.0\n3.0,4.0,5.0\n6.0\n"])
+def test_sample_batch_csv_rejects_ragged_rows(tmp_path, body):
+    csv = tmp_path / "pts.csv"
+    csv.write_text("x0,x1\n" + body)
+    with pytest.raises(ValueError):
+        SampleBatch.from_csv(csv)
+
+
+@pytest.mark.parametrize("text", ["", "x0,x1\n"])
+def test_sample_batch_csv_rejects_empty_file(tmp_path, text):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(text)
+    with pytest.raises(EmptyBatch):
+        SampleBatch.from_csv(csv)
 
 
 def test_grid_csv_columns(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import gmdiff.metrics
@@ -257,6 +259,45 @@ class TestSpectralProbe:
         batch = SampleBatch(points=np.full((100, 1), 50.0), meta={})
         with pytest.raises(NoPointsInRegion):
             jacobian_spectral_probe(std1d, batch, params, 1.0)
+
+
+def _eigvalsh_norms(mats):
+    return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
+
+
+# entries of magnitude 1e-100..1, or exactly 0: scaled by 1e-150..1e150 they
+# stay normal numbers, where eigvalsh is accurate to a few ulps of the norm
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-100, 1.0), st.floats(-1.0, -1e-100))
+
+
+class TestSpectralNorms:
+    @given(_ENTRY, _ENTRY, _ENTRY, st.integers(-150, 150))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_2x2_matches_eigvalsh(self, a, b, c, exponent):
+        mats = np.array([[[a, b], [b, c]]]) * 10.0 ** exponent
+        np.testing.assert_allclose(spectral_norms(mats), _eigvalsh_norms(mats),
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("mat", [
+        [[3.0, 0.0], [0.0, -5.0]],          # b = 0
+        [[2.0, 0.7], [0.7, 2.0]],           # a = c
+        [[-4.0, 1.5], [1.5, -1.0]],         # negative definite
+        [[1.0, 1e-9], [1e-9, -1.0]],        # a + c = 0
+    ])
+    def test_closed_form_2x2_special_cases(self, mat, scale):
+        mats = np.array([mat]) * scale
+        np.testing.assert_allclose(spectral_norms(mats), _eigvalsh_norms(mats),
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_other_dimensions_are_eigvalsh_bitwise(self, d):
+        spec = make_random_spec(d, 5, seed=72 + d)
+        hess = score_jacobian(spec, sample(spec, 500, seed=19).points)
+        np.testing.assert_array_equal(spectral_norms(hess), _eigvalsh_norms(hess))
+
+    def test_single_matrix(self):
+        assert spectral_norms(np.array([[2.0, 0.0], [0.0, -3.0]])).tolist() == [3.0]
 
 
 class TestSlopeFit:

@@ -365,3 +365,25 @@ class TestSample:
     def test_rejects_nonpositive_n(self, std1d):
         with pytest.raises(ValueError):
             sample(std1d, 0, seed=1)
+
+    @staticmethod
+    def _masked_draws(spec, n, rng):
+        """The per-component mask loop sample_array replaced: the reference."""
+        idx = rng.choice(spec.k, size=n, p=spec.weights)
+        xi = rng.standard_normal((n, spec.dim))
+        pts = np.empty((n, spec.dim))
+        for i in range(spec.k):
+            mask = idx == i
+            if np.any(mask):
+                pts[mask] = spec.means[i] + xi[mask] @ spec.chols[i].T
+        return pts
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5, 300])    # 300 sorts uint16 labels
+    def test_grouped_draws_equal_mask_loop_bitwise(self, k, d):
+        spec = make_random_spec(d, k, seed=100 * k + d)
+        for n in (1, 7, 8193, 20000):
+            ref = self._masked_draws(spec, n, np.random.default_rng(n + k))
+            pts = mixture.sample_array(spec, n, np.random.default_rng(n + k))
+            assert pts.shape == (n, d)
+            assert pts.tobytes() == ref.tobytes()
