@@ -21,7 +21,12 @@ from gmdiff import (
     tv_histogram,
     validate_spec,
 )
-from gmdiff.errors import DimensionMismatch, DimensionTooHigh, NoPointsInRegion
+from gmdiff.errors import (
+    DimensionMismatch,
+    DimensionTooHigh,
+    NonFiniteParameter,
+    NoPointsInRegion,
+)
 from gmdiff.metrics import (
     SampleBatch,
     fit_loglog_slope,
@@ -41,6 +46,13 @@ class TestHistogramGrid:
     def test_rejects_few_bins(self):
         with pytest.raises(ValueError):
             HistogramGrid(lo=[0.0], hi=[1.0], bins=[5])
+
+    @pytest.mark.parametrize("lo, hi", [([math.nan], [1.0]), ([-math.inf], [1.0]),
+                                        ([0.0], [math.nan]), ([0.0], [math.inf]),
+                                        ([0.0, math.nan], [1.0, 1.0])])
+    def test_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(NonFiniteParameter):
+            HistogramGrid(lo=lo, hi=hi, bins=[10] * len(lo))
 
     def test_default_grid_covers_components(self, anchor):
         g = default_histogram_grid(anchor)
@@ -93,6 +105,22 @@ class TestReferenceCellMasses:
         ref, ref_outside = _whole_mesh_cell_masses(spec, grid)
         assert masses.shape == ref.shape
         np.testing.assert_allclose(masses, ref, rtol=1e-12, atol=0)
+        assert outside == pytest.approx(ref_outside, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_slab_smaller_than_one_cell(self, d, monkeypatch):
+        # 10 points is fewer than the 4^d sub-points of one cell at d >= 2,
+        # so every slab is a single cell
+        spec = {1: lipschitz_suite()[2], 2: lipschitz_suite()[5],
+                3: make_random_spec(3, 3, seed=41)}[d]
+        grid = default_histogram_grid(spec, bins=10)
+        grid = HistogramGrid(lo=grid.lo, hi=grid.hi, bins=[30, 20, 10][:d])
+        whole = reference_cell_masses(spec, grid)
+        monkeypatch.setattr(gmdiff.metrics, "_MESH_SLAB", 10)
+        masses, outside = reference_cell_masses(spec, grid)
+        ref, ref_outside = _whole_mesh_cell_masses(spec, grid)
+        np.testing.assert_allclose(masses, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(masses, whole[0], rtol=1e-12, atol=0)
         assert outside == pytest.approx(ref_outside, rel=0, abs=1e-12)
 
 
@@ -268,6 +296,34 @@ def _eigvalsh_norms(mats):
 # entries of magnitude 1e-100..1, or exactly 0: scaled by 1e-150..1e150 they
 # stay normal numbers, where eigvalsh is accurate to a few ulps of the norm
 _ENTRY = st.one_of(st.just(0.0), st.floats(1e-100, 1.0), st.floats(-1.0, -1e-100))
+
+
+_PROBE_PARAMS = ConditionParams(R=8.0, beta=0.01, gamma=1e-6)
+# each metric with the (bad) sample points in the argument it reads them from
+_SAMPLE_METRICS = {
+    "kl_histogram": lambda pts, spec, grid, clean: kl_histogram(pts, spec, grid),
+    "tv_histogram": lambda pts, spec, grid, clean: tv_histogram(pts, spec, grid),
+    "tv_histogram-reference": lambda pts, spec, grid, clean: tv_histogram(clean, pts, grid),
+    "moment_diagnostics": lambda pts, spec, grid, clean: moment_diagnostics(pts, spec),
+    "jacobian_spectral_probe": lambda pts, spec, grid, clean: jacobian_spectral_probe(
+        spec, pts, _PROBE_PARAMS, 1.0),
+}
+
+
+class TestNonFiniteSamples:
+    """Every metric that takes sample points rejects a NaN or infinity among
+    them instead of booking it as mass outside the grid."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("metric", list(_SAMPLE_METRICS))
+    def test_rejects_non_finite_points(self, anchor, metric, bad):
+        pts = sample(anchor, 1000, seed=9).points.copy()
+        clean = sample(anchor, 1000, seed=10)
+        grid = default_histogram_grid(anchor)
+        _SAMPLE_METRICS[metric](pts, anchor, grid, clean)      # finite: accepted
+        pts[500, 0] = bad
+        with pytest.raises(NonFiniteParameter):
+            _SAMPLE_METRICS[metric](pts, anchor, grid, clean)
 
 
 class TestSpectralNorms:

@@ -285,6 +285,19 @@ class TestPosteriorKernel:
             assert single[2].shape == (spec.dim,)
             assert single[3].shape == (spec.dim, spec.dim)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_d1_pulls_bitwise_equal_to_matmul(self, k):
+        spec = make_random_spec(1, k, seed=k)
+        rng = np.random.default_rng(k)
+        pts = np.vstack([rng.normal(scale=5.0, size=(3000, 1)), spec.means,
+                         [[0.0], [-0.0], [1e-300], [1e300]]])
+        logs, pulls = mixture._posterior(spec, pts)
+        diff = spec.means[:, :, None] - pts.T
+        matmul = np.matmul(spec.inv_covs, diff)
+        assert pulls.tobytes() == matmul.tobytes()
+        ref_logs = spec.log_norms[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, matmul)
+        assert logs.tobytes() == ref_logs.tobytes()
+
     def test_single_component_jacobian_is_exact_precision(self):
         spec = make_random_spec(3, 1, seed=8)
         pts = np.random.default_rng(2).normal(size=(5, 3))
@@ -341,6 +354,64 @@ class TestBlocks:
         assert log_density(std2d, pts).shape == (0,)
         assert score(std2d, pts).shape == (0, 2)
         assert score_jacobian(std2d, pts).shape == (0, 2, 2)
+
+
+def _check_mesh_density(spec, coords):
+    """_mesh_density against pointwise density on the meshgrid: 1e-12
+    relative wherever the density is above 1e-290, zero in the same cells
+    and never NaN. Returns the pointwise reference."""
+    got = mixture._mesh_density(spec, coords)
+    mesh = np.meshgrid(*coords, indexing="ij")
+    ref = density(spec, np.stack([g.ravel() for g in mesh], axis=-1)).reshape(mesh[0].shape)
+    assert got.shape == ref.shape
+    assert not np.isnan(got).any()
+    np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+    big = ref > 1e-290
+    np.testing.assert_allclose(got[big], ref[big], rtol=1e-12, atol=0)
+    return ref
+
+
+_MESH_SIZES = (41, 29, 17)      # a different length on every axis
+
+
+class TestMeshDensity:
+    """The product-mesh density used by the histogram reference equals the
+    pointwise density evaluated on the meshgrid of its axes."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_pointwise_density(self, d, k):
+        spec = make_random_spec(d, k, seed=10 * d + k)
+        rng = np.random.default_rng(d + k)
+        sd = np.sqrt(np.diagonal(spec.covs, axis1=1, axis2=2))
+        lo, hi = (spec.means - 8 * sd).min(axis=0), (spec.means + 8 * sd).max(axis=0)
+        coords = [np.sort(rng.uniform(lo[a], hi[a], _MESH_SIZES[a])) for a in range(d)]
+        ref = _check_mesh_density(spec, coords)
+        assert (ref > 1e-290).all()
+
+    def test_sixty_sigma_separated_components(self):
+        spec = validate_spec([(0.3, [0.0, 0.0], np.eye(2)),
+                              (0.7, [60.0, -2.0], [[1.0, 0.3], [0.3, 2.0]])])
+        coords = [np.linspace(-8.0, 68.0, 153), np.linspace(-30.0, 26.0, 57)]
+        ref = _check_mesh_density(spec, coords)
+        # the mesh spans both peaks, the near-empty middle and cells that underflow
+        assert ref.max() > 0.01 and (ref == 0.0).any()
+        assert ((ref > 0.0) & (ref < 1e-290)).any()
+
+    def test_peaked_component_next_to_broad_one(self):
+        spec = validate_spec([(0.5, [0.0, 0.0, 0.0], 1e-6 * np.eye(3)),
+                              (0.5, [1.0, -1.0, 0.5], 4.0 * np.eye(3))])
+        coords = [np.linspace(-0.005, 0.005, 21), np.linspace(-3.0, 3.0, 13),
+                  np.linspace(-0.004, 0.006, 11)]
+        ref = _check_mesh_density(spec, coords)
+        assert ref.max() > 1e7
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_far_mesh_underflows_everywhere(self, d):
+        spec = make_random_spec(d, 5, seed=d)
+        coords = [np.linspace(1e3, 2e3, _MESH_SIZES[a]) for a in range(d)]
+        _check_mesh_density(spec, coords)
+        assert not mixture._mesh_density(spec, coords).any()
 
 
 class TestSample:
