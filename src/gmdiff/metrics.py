@@ -61,7 +61,7 @@ class HistogramGrid:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        bins = np.atleast_1d(np.asarray(self.bins, dtype=int))
+        bins = np.atleast_1d(np.asarray(self.bins, dtype=float))
         if not (lo.shape == hi.shape == bins.shape):
             raise DimensionMismatch("lo, hi and bins must have matching shapes")
         if lo.shape[0] > 3:
@@ -70,8 +70,13 @@ class HistogramGrid:
             raise NonFiniteParameter("grid bounds lo and hi must be finite")
         if np.any(hi <= lo):
             raise ValueError("each axis needs lo < hi")
+        if not np.isfinite(bins).all():
+            raise NonFiniteParameter("bin counts must be finite")
+        if np.any(bins != np.floor(bins)) or np.any(bins >= 2.0**63):
+            raise ValueError(f"bin counts must be integers below 2^63, got {bins.tolist()}")
         if np.any(bins < 10):
             raise ValueError("need at least 10 bins per axis")
+        bins = bins.astype(int)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "bins", bins)

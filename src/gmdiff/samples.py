@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyBatch
+from .errors import EmptyBatch, NonFiniteParameter
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class SampleBatch:
         if pts.size == 0:
             raise EmptyBatch("sample batch contains no points")
         if not np.all(np.isfinite(pts)):
-            raise EmptyBatch("sample batch contains non-finite points")
+            raise NonFiniteParameter("sample batch contains non-finite points")
         object.__setattr__(self, "points", pts)
         meta = dict(self.meta)
         meta.setdefault("n", pts.shape[0])
@@ -63,7 +63,8 @@ class SampleBatch:
     @classmethod
     def from_csv(cls, path: str | Path, meta_path: str | Path | None = None) -> "SampleBatch":
         """Read a CSV written by to_csv. Raises EmptyBatch when it holds no
-        rows and ValueError when its rows differ in length."""
+        rows, ValueError when its rows differ in length and
+        NonFiniteParameter when a cell is NaN or infinite."""
         path = Path(path)
         rows = path.read_text().strip().splitlines()[1:]
         if not rows:

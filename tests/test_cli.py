@@ -127,6 +127,22 @@ class TestBoundsCommand:
 
 
 class TestSampleCommand:
+    def test_non_finite_sample_csv_exit_2(self, spec_file, tmp_path, monkeypatch, capsys):
+        # no command reads a sample CSV itself, so the sampler is replaced by
+        # a read of a CSV holding a NaN cell; its error must map to exit 2
+        from gmdiff.samples import SampleBatch
+
+        csv = tmp_path / "bad.csv"
+        csv.write_text("x0\n0.5\nnan\n")
+        monkeypatch.setattr(gmdiff.cli, "run_sampler",
+                            lambda *args, **kwargs: SampleBatch.from_csv(csv))
+        out = tmp_path / "o"
+        rc = main(["sample", "--spec", spec_file, "--out", str(out), "--seed", "1",
+                   "--N", "8", "--n", "10", "--solver", "ei"])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
     def test_writes_csv_and_meta(self, spec_file, tmp_path):
         out = tmp_path / "run"
         rc = main(["sample", "--spec", spec_file, "--out", str(out),

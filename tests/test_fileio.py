@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from gmdiff import sample, uniform_grid
 from gmdiff.bounds import bound_report
-from gmdiff.errors import EmptyBatch
+from gmdiff.errors import EmptyBatch, NonFiniteParameter
 from gmdiff.fileio import (
     load_spec,
     save_bound_reports,
@@ -77,6 +78,23 @@ def test_sample_batch_csv_rejects_empty_file(tmp_path, text):
     csv = tmp_path / "pts.csv"
     csv.write_text(text)
     with pytest.raises(EmptyBatch):
+        SampleBatch.from_csv(csv)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_batch_rejects_non_finite_points(bad):
+    with pytest.raises(NonFiniteParameter):
+        SampleBatch(points=[[1.0], [bad]])
+    # an empty batch is still an EmptyBatch
+    with pytest.raises(EmptyBatch):
+        SampleBatch(points=np.empty((0, 1)))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_sample_batch_csv_rejects_non_finite_cell(tmp_path, cell):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(f"x0,x1\n1.0,2.0\n3.0,{cell}\n")
+    with pytest.raises(NonFiniteParameter):
         SampleBatch.from_csv(csv)
 
 

@@ -47,6 +47,24 @@ class TestHistogramGrid:
         with pytest.raises(ValueError):
             HistogramGrid(lo=[0.0], hi=[1.0], bins=[5])
 
+    @pytest.mark.parametrize("bins", [[10.9], [9.0], [10, 20.5], [1e20]])
+    def test_rejects_fractional_or_few_bin_counts(self, bins):
+        lo = [0.0] * len(bins)
+        with pytest.raises(ValueError):
+            HistogramGrid(lo=lo, hi=[1.0] * len(bins), bins=bins)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_bin_counts(self, bad):
+        with pytest.raises(NonFiniteParameter):
+            HistogramGrid(lo=[0.0], hi=[1.0], bins=[bad])
+
+    def test_integral_float_bin_count_equals_int(self):
+        a = HistogramGrid(lo=[0.0], hi=[1.0], bins=[10.0])
+        b = HistogramGrid(lo=[0.0], hi=[1.0], bins=[10])
+        assert a.bins.dtype == b.bins.dtype and a.bins.tolist() == b.bins.tolist() == [10]
+        np.testing.assert_array_equal(a.edges[0], b.edges[0])
+        assert a.cell_volume == b.cell_volume
+
     @pytest.mark.parametrize("lo, hi", [([math.nan], [1.0]), ([-math.inf], [1.0]),
                                         ([0.0], [math.nan]), ([0.0], [math.inf]),
                                         ([0.0, math.nan], [1.0, 1.0])])

@@ -246,6 +246,136 @@ class TestFourierField:
         np.testing.assert_array_equal(a(0.7, x), b(0.7, x))
 
 
+class TestFourierFieldLattice:
+    """The d = 1 field is evaluated on the lattice h Z and interpolated by
+    the cubic through the four surrounding nodes."""
+
+    reference = staticmethod(TestFourierField.reference)
+
+    @staticmethod
+    def spy(monkeypatch):
+        # records the batch size of every call that takes the lattice path
+        sizes = []
+        lattice = FourierField._lattice
+
+        def recording(self, x, *args):
+            sizes.append(x.shape[0])
+            return lattice(self, x, *args)
+
+        monkeypatch.setattr(FourierField, "_lattice", recording)
+        return sizes
+
+    @staticmethod
+    def bound(field):
+        w = field.freq[:, 0].astype(np.float64)
+        max_u4 = math.sqrt(2.0) * np.sum(np.abs(field.amp[0].astype(np.float64)) * w**4)
+        return 3.0 / 128.0 * field._lattice_step**4 * max_u4
+
+    @pytest.mark.parametrize("center, scale", [(0.0, 0.3), (0.0, 2.0), (-7.0, 5.0)])
+    def test_matches_float64_reference_over_seeds(self, center, scale, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        for seed in range(20):
+            field = FourierField.create(1, seed=100 + seed)
+            x = center + scale * np.random.default_rng(seed).standard_normal((12000, 1))
+            for t in (0.0, 0.7, 3.0, 6.0):
+                np.testing.assert_allclose(field(x, t), self.reference(field, x, t),
+                                           rtol=0, atol=5e-6, err_msg=f"seed {seed}, t {t}")
+        assert sizes == [12000] * 80
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_error_bound_holds_for_chosen_step(self, seed, monkeypatch):
+        field = FourierField.create(1, seed=seed)
+        assert self.bound(field) == pytest.approx(gmdiff.solvers._LATTICE_TOL, rel=1e-12)
+        # with exact node values only the cubic's own error remains
+        monkeypatch.setattr(FourierField, "_direct", self.reference)
+        sizes = self.spy(monkeypatch)
+        x = 3.0 * np.random.default_rng(seed).standard_normal((20000, 1))
+        for t in (0.0, 1.1, 5.0):
+            err = np.max(np.abs(field(x, t) - self.reference(field, x, t)))
+            assert err <= self.bound(field) + 1e-14
+        assert sizes == [20000] * 3
+
+    def test_chains_on_nodes_and_at_the_ends(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        field = FourierField.create(1, seed=8)
+        h = field._lattice_step
+        nodes = np.arange(-150, 151) * h
+        x = np.concatenate([nodes, np.random.default_rng(8).uniform(nodes[0], nodes[-1], 1500)])
+        for t in (0.0, 2.5):
+            u = field(x[:, None], t)
+            ref = self.reference(field, x[:, None], t)
+            np.testing.assert_allclose(u, ref, rtol=0, atol=5e-6)
+            # a chain on a node takes that node's value, up to the float32
+            # rounding of a node evaluated in a different batch
+            np.testing.assert_allclose(u[:nodes.size], field._direct(nodes[:, None], t),
+                                       rtol=0, atol=1e-6)
+            # batch min and max off the nodes
+            ends = np.array([[nodes[0] + 0.3 * h], [nodes[-1] - 0.6 * h], [0.0]])
+            x_ends = np.vstack([ends, x[nodes.size:, None]])
+            np.testing.assert_allclose(field(x_ends, t)[:3], self.reference(field, ends, t),
+                                       rtol=0, atol=5e-6)
+        assert sizes == [x.size, x.size - nodes.size + 3] * 2
+
+    def test_subset_matches_full_batch(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        field = FourierField.create(1, seed=9)
+        x = 2.0 * np.random.default_rng(9).standard_normal((16000, 1))
+        full = field(x, 0.8)
+        for rows in (np.arange(0, 16000, 2), np.flatnonzero(np.abs(x[:, 0]) < 1.0),
+                     np.arange(4000)):
+            np.testing.assert_allclose(field(x[rows], 0.8), full[rows], rtol=0, atol=1e-6)
+        assert len(sizes) == 4
+
+    @pytest.mark.parametrize("far", [1e8, -1e8, 1e30, np.finfo(float).max])
+    def test_wide_spread_takes_direct_path(self, far, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        field = FourierField.create(1, seed=10)
+        x = np.random.default_rng(10).standard_normal((20000, 1))
+        x[123] = far
+        with np.errstate(all="ignore"):
+            u = field(x, 1.5)
+            np.testing.assert_array_equal(u, field._direct(x, 1.5))
+        assert sizes == []
+
+    def test_node_count_cutoff(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        field = FourierField.create(1, seed=11)
+        h = field._lattice_step
+        # chains in [0, (G - 4) h] need exactly G nodes
+        for n, span in ((400, 96), (400, 97), (15, 0), (16, 0)):
+            x = np.full((n, 1), 0.5 * h)
+            x[0] = (span + 0.5) * h
+            u = field(x, 0.3)
+            np.testing.assert_allclose(u, self.reference(field, x, 0.3), rtol=0, atol=5e-6)
+        assert sizes == [400, 16]
+        assert field(np.empty((0, 1)), 0.3).shape == (0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_chain_takes_direct_path(self, bad, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        field = FourierField.create(1, seed=12)
+        x = np.random.default_rng(12).standard_normal((20000, 1))
+        x[77] = bad
+        with np.errstate(all="ignore"):
+            u = field(x, 2.0)
+            np.testing.assert_array_equal(u, field._direct(x, 2.0))
+        assert np.isnan(u[77, 0]) and np.isfinite(np.delete(u, 77)).all()
+        assert sizes == []
+
+    def test_rescaled_scales_lattice_output(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        field = FourierField.create(1, seed=13)
+        x = 2.0 * np.random.default_rng(13).standard_normal((20000, 1))
+        np.testing.assert_allclose(field.rescaled(0.37)(x, 2.0), 0.37 * field(x, 2.0),
+                                   rtol=0, atol=5e-6)
+        assert sizes == [20000, 20000]
+        # a vanishing field has no finite step and is evaluated directly
+        zero = field.rescaled(0.0)
+        assert zero._lattice_step == math.inf
+        np.testing.assert_array_equal(zero(x, 2.0), np.zeros((20000, 1)))
+        assert len(sizes) == 2
+
+
 class TestStepFunctions:
     def test_em_zero_step_is_identity(self):
         y = np.array([[1.0, -2.0]])
