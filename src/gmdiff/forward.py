@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeTime, ZeroScale
-from .mixture import GmmSpec
+from .mixture import GmmSpec, covariance_caches
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,7 @@ def affine_push(spec: GmmSpec, a: float, b: float) -> GmmSpec:
         return spec
     d = spec.dim
     new_covs = (a * a) * spec.covs + (b * b) * np.eye(d)
-    chols = np.linalg.cholesky(new_covs)
-    inv_covs = np.linalg.inv(new_covs)
-    inv_covs = 0.5 * (inv_covs + np.swapaxes(inv_covs, -1, -2))
-    log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    chols, inv_covs, log_dets = covariance_caches(new_covs)
     return GmmSpec(dim=d, weights=spec.weights, means=a * spec.means,
                    covs=new_covs, chols=chols, inv_covs=inv_covs,
                    log_dets=log_dets)

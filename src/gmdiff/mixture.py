@@ -142,37 +142,46 @@ def validate_spec(raw) -> GmmSpec:
         if not (len(weights) == 1 and abs(weights[0] - 1.0) <= _WEIGHT_TOL):
             raise WeightsDoNotSumToOne(f"each weight must lie in (0,1], got {weights!r}")
 
-    chols = np.empty((len(triples), d, d))
-    inv_covs = np.empty_like(chols)
-    log_dets = np.empty(len(triples))
-    eye = np.eye(d)
-    for i, c in enumerate(covs):
-        if np.max(np.abs(c - c.T)) > _SYM_TOL:
-            raise NonSymmetricCovariance(f"component {i}: covariance is not symmetric")
-        c = 0.5 * (c + c.T)
-        covs[i] = c
-        try:
-            chol = np.linalg.cholesky(c)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                f"component {i}: covariance is not positive definite") from None
-        if np.max(np.abs(chol @ chol.T - c)) > _CHOL_TOL:
-            raise NotPositiveDefinite(
-                f"component {i}: Cholesky factor does not reproduce the covariance")
-        chols[i] = chol
-        inv_covs[i] = np.linalg.solve(c, eye)
-        inv_covs[i] = 0.5 * (inv_covs[i] + inv_covs[i].T)
-        log_dets[i] = 2.0 * np.sum(np.log(np.diag(chol)))
+    covs = np.stack(covs)
+    asym = np.max(np.abs(covs - np.swapaxes(covs, 1, 2)), axis=(1, 2)) > _SYM_TOL
+    if asym.any():
+        raise NonSymmetricCovariance(
+            f"component {int(np.argmax(asym))}: covariance is not symmetric")
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    try:
+        chols, inv_covs, log_dets = covariance_caches(covs)
+    except np.linalg.LinAlgError:
+        for i, c in enumerate(covs):
+            try:
+                np.linalg.cholesky(c)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(
+                    f"component {i}: covariance is not positive definite") from None
+        raise
+    off = np.max(np.abs(chols @ np.swapaxes(chols, 1, 2) - covs), axis=(1, 2)) > _CHOL_TOL
+    if off.any():
+        raise NotPositiveDefinite(f"component {int(np.argmax(off))}: "
+                                  "Cholesky factor does not reproduce the covariance")
 
     return GmmSpec(
         dim=d,
         weights=weights,
         means=np.stack(means),
-        covs=np.stack(covs),
+        covs=covs,
         chols=chols,
         inv_covs=inv_covs,
         log_dets=log_dets,
     )
+
+
+def covariance_caches(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The caches of every GmmSpec, from a (k, d, d) stack of covariances:
+    Cholesky factors, symmetrized precisions and log-determinants."""
+    chols = np.linalg.cholesky(covs)
+    inv_covs = np.linalg.inv(covs)
+    inv_covs = 0.5 * (inv_covs + np.swapaxes(inv_covs, -1, -2))
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    return chols, inv_covs, log_dets
 
 
 @dataclass(frozen=True)

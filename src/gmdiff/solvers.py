@@ -6,9 +6,12 @@ predictor with overdamped or underdamped Langevin correctors). The
 corrector internals follow the standard probability-flow + Langevin
 construction; only the (T, h_pred, h_corr, s) call shape is contractual.
 
-All chains advance together as one (n, d) array; a run consumes a single
-seeded generator, so identical arguments give bit-identical output no
-matter how the caller schedules work across threads.
+All four schemes share one reverse-time loop over nodes from 0 to
+T - delta (the TimeGrid's reverse points, or min(k h_pred, T - delta) for
+predictor-corrector) and supply only their advance function. All chains
+advance together as one (n, d) array; a run consumes a single seeded
+generator, so identical arguments give bit-identical output no matter how
+the caller schedules work across threads.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NegativeEpsilon, NonFiniteState
+from .errors import InvalidHorizon, NegativeEpsilon, NonFiniteState
 from .forward import marginal_at
-from .mixture import GmmSpec, score
+from .mixture import GmmSpec, sample_array, score
 from .samples import SampleBatch
 from .schedules import TimeGrid
 
@@ -171,11 +174,13 @@ class ScoreModel:
     """
 
     spec0: GmmSpec
-    kind: str
     epsilon0: float
-    seed: int | None
     field: FourierField | None
     _last: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def kind(self) -> str:
+        return "exact" if self.field is None else "perturbed"
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -188,7 +193,7 @@ class ScoreModel:
         else:
             spec_t = marginal_at(self.spec0, t)
         s = score(spec_t, x)
-        if self.kind == "perturbed":
+        if self.field is not None:
             s = s + self.epsilon0 * self.field(np.atleast_2d(x), t).reshape(s.shape)
         s = np.ascontiguousarray(s)
         object.__setattr__(self, "_last", (t, spec_t, x_key, s))
@@ -213,12 +218,8 @@ def make_score_model(spec0: GmmSpec, kind: str = "exact", epsilon0: float = 0.0,
         raise NegativeEpsilon(f"epsilon0 must be >= 0, got {epsilon0!r}")
     if kind not in ("exact", "perturbed"):
         raise ValueError(f"kind must be 'exact' or 'perturbed', got {kind!r}")
-    if epsilon0 == 0.0:
-        kind = "exact"
     field = None
-    if kind == "perturbed":
-        from .mixture import sample_array
-
+    if kind == "perturbed" and epsilon0 != 0.0:
         field_seed = 0 if seed is None else seed
         field = FourierField.create(spec0.dim, seed=field_seed)
         probe_rng = np.random.default_rng([field_seed, 0xF1E1D])
@@ -229,8 +230,7 @@ def make_score_model(spec0: GmmSpec, kind: str = "exact", epsilon0: float = 0.0,
             u = field(x, t)
             mean_sq += float(np.mean(np.sum(u * u, axis=1)))
         field = field.rescaled(1.0 / math.sqrt(mean_sq / _PROBE_NODES))
-    return ScoreModel(spec0=spec0, kind=kind, epsilon0=float(epsilon0),
-                      seed=seed, field=field)
+    return ScoreModel(spec0=spec0, epsilon0=float(epsilon0), field=field)
 
 
 def step_em(y: np.ndarray, h: float, s_val: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -272,6 +272,27 @@ def _guard(y: np.ndarray, step_index: int, t_forward: float, name: str = "y") ->
             step_index=step_index, t_forward=float(t_forward), chain=chain)
 
 
+def _reverse_loop(model: ScoreModel, T: float, rev: np.ndarray, advance, n: int,
+                  seed: int, meta: dict, momentum: bool = False) -> SampleBatch:
+    """Walk the reverse-time nodes rev from a standard-normal y, then v if
+    momentum is set. advance(y, v, h, s, t_next, rng) takes the score s at
+    forward time T - rev[k] to the state at forward time t_next, where y and
+    a present v are guarded. meta gains n, score_kind and epsilon0."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, model.spec0.dim))
+    v = rng.standard_normal(y.shape) if momentum else None
+    for k in range(len(rev) - 1):
+        t_next = T - rev[k + 1]
+        y, v = advance(y, v, rev[k + 1] - rev[k], model(T - rev[k], y), t_next, rng)
+        _guard(y, k, t_next)
+        if v is not None:
+            _guard(v, k, t_next, "v")
+    meta.update(n=int(n), score_kind=model.kind, epsilon0=model.epsilon0)
+    return SampleBatch(points=y, meta=meta)
+
+
 def run_sampler(model: ScoreModel, grid: TimeGrid, scheme: str, n: int,
                 seed: int) -> SampleBatch:
     """Integrate the reverse SDE from a standard-normal start over the grid.
@@ -282,27 +303,16 @@ def run_sampler(model: ScoreModel, grid: TimeGrid, scheme: str, n: int,
     """
     if scheme not in ("em", "ei"):
         raise ValueError(f"scheme must be 'em' or 'ei', got {scheme!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     step = step_em if scheme == "em" else step_ei
-    rng = np.random.default_rng(seed)
-    d = model.spec0.dim
-    y = rng.standard_normal((n, d))
-    rev = grid.reverse_points()
-    T = grid.T
-    noise = np.empty((n, d))
-    for k in range(len(rev) - 1):
-        h = rev[k + 1] - rev[k]
-        s_val = model(T - rev[k], y)
+    noise = np.empty((max(n, 0), model.spec0.dim))  # the loop rejects n < 1
+
+    def advance(y, v, h, s_val, t_next, rng):
         rng.standard_normal(out=noise)
-        y = step(y, h, s_val, noise)
-        _guard(y, k, T - rev[k + 1])
-    meta = {
-        "seed": int(seed), "solver": scheme, "grid": grid.describe(),
-        "T": float(grid.T), "delta": float(grid.delta), "n": int(n),
-        "score_kind": model.kind, "epsilon0": model.epsilon0,
-    }
-    return SampleBatch(points=y, meta=meta)
+        return step(y, h, s_val, noise), v
+
+    meta = {"seed": int(seed), "solver": scheme, "grid": grid.describe(),
+            "T": float(grid.T), "delta": float(grid.delta)}
+    return _reverse_loop(model, grid.T, grid.reverse_points(), advance, n, seed, meta)
 
 
 def _corrector_overdamped(model: ScoreModel, t_fwd: float, y: np.ndarray,
@@ -347,41 +357,34 @@ def run_predictor_corrector(model: ScoreModel, T: float, h_pred: float,
     """
     if variant not in ("overdamped", "underdamped"):
         raise ValueError(f"variant must be 'overdamped' or 'underdamped', got {variant!r}")
-    if h_pred <= 0.0 or h_corr <= 0.0:
-        raise ValueError("h_pred and h_corr must be positive")
+    if not (math.isfinite(T) and T > 0.0):
+        raise InvalidHorizon(f"horizon T must be positive and finite, got {T!r}")
+    for name, value in (("h_pred", h_pred), ("h_corr", h_corr)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (math.isfinite(friction) and friction >= 0.0):
+        raise ValueError(f"friction must be finite and >= 0, got {friction!r}")
     if not (0.0 <= delta < T):
         raise ValueError(f"delta must lie in [0, T), got {delta!r}")
     if corr_steps_per_node < 0:
         raise ValueError("corr_steps_per_node must be >= 0")
-    rng = np.random.default_rng(seed)
-    d = model.spec0.dim
-    y = rng.standard_normal((n, d))
-    v = rng.standard_normal((n, d))  # kinetic momentum; unused when overdamped
     span = T - delta
     n_steps = max(1, math.ceil(span / h_pred - 1e-12))
     nodes = np.minimum(np.arange(n_steps + 1) * h_pred, span)
     nodes[-1] = span
-    for k in range(n_steps):
-        h = nodes[k + 1] - nodes[k]
-        s_val = model(T - nodes[k], y)
+
+    def advance(y, v, h, s_val, t_next, rng):
         em1 = math.expm1(h)
         y = (1.0 + em1) * y + em1 * s_val
-        t_fwd = T - nodes[k + 1]
-        if corr_steps_per_node > 0:
-            if variant == "overdamped":
-                y = _corrector_overdamped(model, t_fwd, y, h_corr,
-                                          corr_steps_per_node, rng)
-            else:
-                y, v = _corrector_underdamped(model, t_fwd, y, v, h_corr,
-                                              corr_steps_per_node, friction, rng)
-        _guard(y, k, t_fwd)
-        if variant == "underdamped":
-            _guard(v, k, t_fwd, "v")
-    meta = {
-        "seed": int(seed), "solver": "dpom" if variant == "overdamped" else "dpum",
-        "grid": f"pc(h_pred={h_pred!r}, h_corr={h_corr!r}, "
-                f"corr_steps={corr_steps_per_node}, friction={friction!r})",
-        "T": float(T), "delta": float(delta), "n": int(n),
-        "score_kind": model.kind, "epsilon0": model.epsilon0,
-    }
-    return SampleBatch(points=y, meta=meta)
+        if variant == "overdamped":
+            return _corrector_overdamped(model, t_next, y, h_corr,
+                                         corr_steps_per_node, rng), v
+        return _corrector_underdamped(model, t_next, y, v, h_corr,
+                                      corr_steps_per_node, friction, rng)
+
+    meta = {"seed": int(seed), "solver": "dpom" if variant == "overdamped" else "dpum",
+            "grid": f"pc(h_pred={h_pred!r}, h_corr={h_corr!r}, "
+                    f"corr_steps={corr_steps_per_node}, friction={friction!r})",
+            "T": float(T), "delta": float(delta)}
+    # dpom draws the momentum too, which keeps its seeded stream fixed
+    return _reverse_loop(model, T, nodes, advance, n, seed, meta, momentum=True)

@@ -46,19 +46,9 @@ class CheckResult:
                 "threshold": self.threshold, "passed": self.passed}
 
 
-def fd_gradient(func, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite difference of a scalar function of a d-vector."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for j in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[j] = step
-        grad[j] = (func(x + e) - func(x - e)) / (2.0 * step)
-    return grad
-
-
 def fd_jacobian(func, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite difference of a vector function of a d-vector."""
+    """Central finite difference of a function of a d-vector: the (m, d)
+    Jacobian of a vector function, or the (d,) gradient of a scalar one."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
     cols = []
@@ -66,7 +56,7 @@ def fd_jacobian(func, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
         e = np.zeros(d)
         e[j] = step
         cols.append((func(x + e) - func(x - e)) / (2.0 * step))
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=-1)
 
 
 def _rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
@@ -83,7 +73,7 @@ def score_suite(spec: GmmSpec, n_points: int = 40, seed: int = 7) -> list[CheckR
     worst_jac = 0.0
     worst_resp = 0.0
     for x in pts:
-        fd_s = fd_gradient(lambda z: log_density(spec, z), x)
+        fd_s = fd_jacobian(lambda z: log_density(spec, z), x)
         worst_score = max(worst_score, _rel_err(fd_s, score(spec, x)))
         fd_h = fd_jacobian(lambda z: score(spec, z), x)
         worst_jac = max(worst_jac, _rel_err(fd_h, score_jacobian(spec, x)))

@@ -42,7 +42,7 @@ from gmdiff.fileio import save_spec
 from gmdiff.metrics import convergence_sweep, jacobian_spectral_probe, kl_histogram
 from gmdiff.mixture import log_density, sample_array, score, score_jacobian
 from gmdiff.suite import lipschitz_suite, random_spec
-from gmdiff.verify import fd_gradient, fd_jacobian
+from gmdiff.verify import fd_jacobian
 
 ANCHOR = standard_mixture_1d()
 
@@ -64,7 +64,7 @@ def test_c01_score_and_jacobian_finite_difference_suite():
         d, k = cases[count % len(cases)]
         spec = random_spec(d, k, rng, eig_range=(0.25, 4.0))
         x = sample_array(spec, 1, rng)[0]
-        fd_s = fd_gradient(lambda z: log_density(spec, z), x, step=1e-5)
+        fd_s = fd_jacobian(lambda z: log_density(spec, z), x, step=1e-5)
         worst_score = max(worst_score, _rel_err(fd_s, score(spec, x)))
         fd_h = fd_jacobian(lambda z: score(spec, z), x, step=1e-5)
         worst_jac = max(worst_jac, _rel_err(fd_h, score_jacobian(spec, x)))

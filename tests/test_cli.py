@@ -189,6 +189,25 @@ class TestSampleCommand:
             meta = json.loads((out / "samples.meta.json").read_text())
             assert meta["solver"] == solver
 
+    @pytest.mark.parametrize("solver", ["dpom", "dpum"])
+    @pytest.mark.parametrize("args, name", [
+        (["--T", "inf"], "T must be"),
+        (["--T", "nan"], "T must be"),
+        (["--friction", "-1"], "friction"),
+        (["--friction", "nan"], "friction"),
+        (["--n", "0"], "n must be"),
+        (["--h-corr", "inf"], "h_corr"),
+        (["--h-pred", "nan"], "h_pred"),
+    ])
+    def test_bad_predictor_corrector_argument_exit_2(self, spec_file, tmp_path, capsys,
+                                                     solver, args, name):
+        out = tmp_path / "o"
+        rc = main(["sample", "--spec", spec_file, "--out", str(out), "--seed", "1",
+                   "--solver", solver, "--N", "8", "--n", "10"] + args)
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
     def test_expdecay_schedule(self, spec_file, tmp_path):
         out = tmp_path / "run"
         rc = main(["sample", "--spec", spec_file, "--out", str(out),

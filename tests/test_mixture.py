@@ -25,7 +25,7 @@ from gmdiff.errors import (
     WeightsDoNotSumToOne,
 )
 from gmdiff import mixture
-from gmdiff.verify import fd_gradient, fd_jacobian
+from gmdiff.verify import fd_jacobian
 
 from conftest import make_random_spec, naive_density
 
@@ -54,6 +54,29 @@ class TestValidateSpec:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(NonSymmetricCovariance):
             validate_spec([(1.0, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])])
+
+    @staticmethod
+    def _badly_scaled_cov():
+        # SPD at scale 1e8: Cholesky succeeds, but L L^T misses it by more
+        # than the absolute reconstruction tolerance
+        a = np.random.default_rng(0).standard_normal((3, 3))
+        c = (a @ a.T + np.eye(3)) * 1e8
+        return 0.5 * (c + c.T)
+
+    @pytest.mark.parametrize("bad_at", [(1,), (2,), (1, 2)])
+    @pytest.mark.parametrize("fault, error, text", [
+        ("asymmetric", NonSymmetricCovariance, "not symmetric"),
+        ("indefinite", NotPositiveDefinite, "not positive definite"),
+        ("badly_scaled", NotPositiveDefinite, "does not reproduce"),
+    ])
+    def test_names_first_failing_component(self, bad_at, fault, error, text):
+        cov = {"asymmetric": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+               "indefinite": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+               "badly_scaled": self._badly_scaled_cov()}[fault]
+        triples = [(1.0 / 3.0, np.full(3, float(i)), cov if i in bad_at else np.eye(3))
+                   for i in range(3)]
+        with pytest.raises(error, match=f"component {bad_at[0]}: .*{text}"):
+            validate_spec(triples)
 
     def test_empty_mixture_rejected(self):
         with pytest.raises(EmptyMixture):
@@ -195,7 +218,7 @@ class TestScore:
     def test_matches_finite_difference(self):
         spec = make_random_spec(2, 3, seed=3)
         x = np.array([0.7, -0.4])
-        fd = fd_gradient(lambda z: log_density(spec, z), x)
+        fd = fd_jacobian(lambda z: log_density(spec, z), x)
         np.testing.assert_allclose(score(spec, x), fd, rtol=1e-5, atol=1e-8)
 
     def test_single_component_closed_form_exact(self):

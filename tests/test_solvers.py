@@ -19,9 +19,15 @@ from gmdiff import (
     uniform_grid,
     validate_spec,
 )
-from gmdiff.errors import NegativeEpsilon, NonFiniteState
+from gmdiff.errors import InvalidHorizon, NegativeEpsilon, NonFiniteState
 from gmdiff.mixture import sample_array
-from gmdiff.solvers import FourierField, _corrector_overdamped, _corrector_underdamped
+from gmdiff.samples import SampleBatch
+from gmdiff.solvers import (
+    FourierField,
+    _corrector_overdamped,
+    _corrector_underdamped,
+    _guard,
+)
 
 from conftest import make_random_spec
 
@@ -660,12 +666,58 @@ class TestPredictorCorrector:
 
     def test_rejects_bad_arguments(self, anchor):
         model = make_score_model(anchor)
-        with pytest.raises(ValueError):
-            run_predictor_corrector(model, T=1.0, h_pred=0.0, h_corr=0.1,
-                                    corr_steps_per_node=1, variant="overdamped")
-        with pytest.raises(ValueError):
-            run_predictor_corrector(model, T=1.0, h_pred=0.1, h_corr=0.1,
-                                    corr_steps_per_node=1, variant="dpom")
+        base = dict(T=1.0, h_pred=0.1, h_corr=0.1, corr_steps_per_node=1,
+                    variant="underdamped", n=4)
+        for bad, error, name in [
+            ({"h_pred": 0.0}, ValueError, "h_pred"),
+            ({"variant": "dpom"}, ValueError, "variant"),
+            ({"T": math.inf}, InvalidHorizon, "T must be"),
+            ({"T": math.nan}, InvalidHorizon, "T must be"),
+            ({"T": 0.0}, InvalidHorizon, "T must be"),
+            ({"h_pred": math.nan}, ValueError, "h_pred"),
+            ({"h_corr": math.inf}, ValueError, "h_corr"),
+            ({"friction": -1.0}, ValueError, "friction"),
+            ({"friction": math.nan}, ValueError, "friction"),
+            ({"friction": math.inf}, ValueError, "friction"),
+            ({"n": 0}, ValueError, "n must be"),
+        ]:
+            with pytest.raises(error, match=name):
+                run_predictor_corrector(model, **(base | bad))
+
+    def test_zero_friction_is_allowed(self, anchor):
+        batch = run_predictor_corrector(make_score_model(anchor), T=1.0, h_pred=0.1,
+                                        h_corr=0.05, corr_steps_per_node=1,
+                                        variant="underdamped", friction=0.0, n=4)
+        assert np.all(np.isfinite(batch.points))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e15])
+    def test_diverging_position_names_step_time_and_chain(self, anchor, bad):
+        # without correctors the second call is the predictor of node 1; it
+        # goes bad on chains 5 and 3, and the guard right after it must say so
+        exact = make_score_model(anchor)
+        calls = []
+
+        class SecondCallBlowsUp:
+            spec0, kind, epsilon0 = exact.spec0, exact.kind, exact.epsilon0
+
+            def __call__(self, t, x):
+                calls.append(t)
+                s = exact(t, x)
+                if len(calls) == 2:
+                    s = s.copy()
+                    s[[5, 3]] = bad
+                return s
+
+        with pytest.raises(NonFiniteState) as info:
+            run_predictor_corrector(SecondCallBlowsUp(), T=1.0, h_pred=0.25, h_corr=0.01,
+                                    corr_steps_per_node=0, variant="overdamped",
+                                    n=10, seed=4)
+        exc = info.value
+        assert (exc.step_index, exc.chain) == (1, 3)
+        assert exc.t_forward == 0.5
+        assert "step 1" in str(exc) and "chain 3" in str(exc) and "(y)" in str(exc)
+        assert "0.5" in str(exc)
+        assert calls == [1.0, 0.75]
 
 
 def _sample_points(model, solver, corr_steps=2, n_steps=30):
@@ -727,3 +779,88 @@ class TestScoreMemoInSamplers:
         np.testing.assert_array_equal(v, rv)
         np.testing.assert_array_equal(y0, inputs[0])
         np.testing.assert_array_equal(v0, inputs[1])
+
+
+def _reference_run_sampler(model, grid, scheme, n, seed):
+    """run_sampler as its own loop, before the samplers shared one."""
+    step = gmdiff.solvers.step_em if scheme == "em" else gmdiff.solvers.step_ei
+    rng = np.random.default_rng(seed)
+    d = model.spec0.dim
+    y = rng.standard_normal((n, d))
+    rev = grid.reverse_points()
+    T = grid.T
+    noise = np.empty((n, d))
+    for k in range(len(rev) - 1):
+        h = rev[k + 1] - rev[k]
+        s_val = model(T - rev[k], y)
+        rng.standard_normal(out=noise)
+        y = step(y, h, s_val, noise)
+        _guard(y, k, T - rev[k + 1])
+    meta = {
+        "seed": int(seed), "solver": scheme, "grid": grid.describe(),
+        "T": float(grid.T), "delta": float(grid.delta), "n": int(n),
+        "score_kind": model.kind, "epsilon0": model.epsilon0,
+    }
+    return SampleBatch(points=y, meta=meta)
+
+
+def _reference_predictor_corrector(model, T, h_pred, h_corr, corr_steps_per_node,
+                                   variant, friction, delta, n, seed):
+    """run_predictor_corrector as its own loop, before the samplers shared one."""
+    rng = np.random.default_rng(seed)
+    d = model.spec0.dim
+    y = rng.standard_normal((n, d))
+    v = rng.standard_normal((n, d))
+    span = T - delta
+    n_steps = max(1, math.ceil(span / h_pred - 1e-12))
+    nodes = np.minimum(np.arange(n_steps + 1) * h_pred, span)
+    nodes[-1] = span
+    for k in range(n_steps):
+        h = nodes[k + 1] - nodes[k]
+        s_val = model(T - nodes[k], y)
+        em1 = math.expm1(h)
+        y = (1.0 + em1) * y + em1 * s_val
+        t_fwd = T - nodes[k + 1]
+        if corr_steps_per_node > 0:
+            if variant == "overdamped":
+                y = _corrector_overdamped(model, t_fwd, y, h_corr,
+                                          corr_steps_per_node, rng)
+            else:
+                y, v = _corrector_underdamped(model, t_fwd, y, v, h_corr,
+                                              corr_steps_per_node, friction, rng)
+        _guard(y, k, t_fwd)
+        if variant == "underdamped":
+            _guard(v, k, t_fwd, "v")
+    meta = {
+        "seed": int(seed), "solver": "dpom" if variant == "overdamped" else "dpum",
+        "grid": f"pc(h_pred={h_pred!r}, h_corr={h_corr!r}, "
+                f"corr_steps={corr_steps_per_node}, friction={friction!r})",
+        "T": float(T), "delta": float(delta), "n": int(n),
+        "score_kind": model.kind, "epsilon0": model.epsilon0,
+    }
+    return SampleBatch(points=y, meta=meta)
+
+
+_LOOP_CASES = (
+    [(s, d, kind, delta, 0) for s in ("em", "ei") for d in (1, 2)
+     for kind in ("exact", "perturbed") for delta in (0.0, 0.05)]
+    + [(s, d, kind, delta, c) for s in ("dpom", "dpum") for d in (1, 2)
+       for kind in ("exact", "perturbed") for delta in (0.0, 0.05) for c in (0, 2)])
+
+
+@pytest.mark.parametrize("solver, d, kind, delta, corr_steps", _LOOP_CASES)
+def test_shared_loop_matches_reference_loops(solver, d, kind, delta, corr_steps):
+    # same points to the bit and the same meta, keys in the same order
+    spec = make_random_spec(d, 3, seed=40 + d)
+    model = make_score_model(spec, kind, 0.3, seed=8)
+    if solver in ("em", "ei"):
+        grid = uniform_grid(2.5, 24, delta)
+        got = run_sampler(model, grid, solver, 150, seed=9)
+        ref = _reference_run_sampler(model, grid, solver, 150, seed=9)
+    else:
+        args = (2.5, 0.11, 0.03, corr_steps,
+                "overdamped" if solver == "dpom" else "underdamped", 1.7, delta, 150, 9)
+        got = run_predictor_corrector(model, *args)
+        ref = _reference_predictor_corrector(model, *args)
+    np.testing.assert_array_equal(got.points, ref.points)
+    assert list(got.meta.items()) == list(ref.meta.items())
