@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidHorizon, NegativeEpsilon, NonFiniteState
+from .errors import InvalidHorizon, NegativeEpsilon, NonFiniteParameter, NonFiniteState
 from .forward import marginal_at
 from .mixture import GmmSpec, sample_array, score
 from .samples import SampleBatch
@@ -214,6 +214,8 @@ def make_score_model(spec0: GmmSpec, kind: str = "exact", epsilon0: float = 0.0,
     mean-squared score error lands on epsilon0^2 regardless of which few
     features the random draw happens to favor.
     """
+    if not math.isfinite(epsilon0):
+        raise NonFiniteParameter(f"epsilon0 must be finite, got {epsilon0!r}")
     if epsilon0 < 0.0:
         raise NegativeEpsilon(f"epsilon0 must be >= 0, got {epsilon0!r}")
     if kind not in ("exact", "perturbed"):
@@ -369,8 +371,13 @@ def run_predictor_corrector(model: ScoreModel, T: float, h_pred: float,
     if corr_steps_per_node < 0:
         raise ValueError("corr_steps_per_node must be >= 0")
     span = T - delta
-    n_steps = max(1, math.ceil(span / h_pred - 1e-12))
-    nodes = np.minimum(np.arange(n_steps + 1) * h_pred, span)
+    count = span / h_pred
+    try:
+        n_steps = max(1, math.ceil(count - 1e-12))
+        nodes = np.minimum(np.arange(n_steps + 1) * h_pred, span)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ValueError(f"h_pred={h_pred!r} needs {count:.6g} predictor nodes over "
+                         f"a span of {span!r}, more than can be allocated ({exc})") from exc
     nodes[-1] = span
 
     def advance(y, v, h, s_val, t_next, rng):

@@ -1,6 +1,11 @@
+import ctypes
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,12 +203,27 @@ class TestSampleCommand:
         (["--n", "0"], "n must be"),
         (["--h-corr", "inf"], "h_corr"),
         (["--h-pred", "nan"], "h_pred"),
+        (["--h-pred", "1e-300"], "h_pred=1e-300 needs"),
+        (["--N", "0"], "--N must be >= 1"),
     ])
     def test_bad_predictor_corrector_argument_exit_2(self, spec_file, tmp_path, capsys,
                                                      solver, args, name):
         out = tmp_path / "o"
         rc = main(["sample", "--spec", spec_file, "--out", str(out), "--seed", "1",
                    "--solver", solver, "--N", "8", "--n", "10"] + args)
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
+    @pytest.mark.parametrize("args, name", [
+        (["--solver", "ei", "--N", "-1"], "--N must be >= 1"),
+        (["--solver", "ei", "--epsilon0", "nan"], "epsilon0 must be finite"),
+        (["--solver", "em", "--epsilon0", "inf"], "epsilon0 must be finite"),
+    ])
+    def test_bad_sampler_argument_exit_2(self, spec_file, tmp_path, capsys, args, name):
+        out = tmp_path / "o"
+        rc = main(["sample", "--spec", spec_file, "--out", str(out), "--seed", "1",
+                   "--N", "8", "--n", "10"] + args)
         assert rc == 2
         assert name in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
@@ -234,6 +254,91 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError: boom")
         assert err.count("\n") == 1
+
+
+_MALLOC_SETTINGS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class _FakeLibc:
+    """Stands in for ctypes.CDLL(None) and records the mallopt calls."""
+
+    def __init__(self):
+        self.calls, self.result = [], 1
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+class TestKeepFreedHeap:
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        for name in _MALLOC_SETTINGS:
+            monkeypatch.delenv(name, raising=False)
+        fake = _FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: fake)
+        return fake
+
+    def test_sets_mmap_then_trim_threshold(self, libc):
+        gmdiff.cli._keep_freed_heap()
+        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_refused_mmap_threshold_leaves_trim_alone(self, libc):
+        # a raised trim threshold on its own faults more, not less
+        libc.result = 0
+        gmdiff.cli._keep_freed_heap()
+        assert libc.calls == [(-3, 32 << 20)]
+
+    @pytest.mark.parametrize("name, value", [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ])
+    def test_user_setting_leaves_allocator_alone(self, libc, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        gmdiff.cli._keep_freed_heap()
+        assert libc.calls == []
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                             ids=["no_libc", "no_mallopt"])
+    def test_silent_no_op_without_mallopt(self, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        gmdiff.cli._keep_freed_heap()
+
+    @staticmethod
+    def _sample_faults(spec_file, out, N):
+        """Minor page faults of one `gmdiff sample` call in a fresh process."""
+        code = (
+            "import contextlib, io, resource, sys\n"
+            "from gmdiff.cli import main\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(sys.argv[1:])\n"
+            "assert rc == 0, rc\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        env = dict(os.environ)
+        for name in _MALLOC_SETTINGS:
+            env.pop(name, None)
+        src = str(Path(gmdiff.cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["sample", "--spec", spec_file, "--out", str(out), "--solver", "ei",
+                "--T", "6", "--n", "12000", "--N", str(N), "--epsilon0", "0.1",
+                "--seed", "1"]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        return int(done.stdout.split()[-1])
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+    def test_sampler_steps_do_not_refault_the_heap(self, spec_file, tmp_path):
+        # the difference of two runs cancels imports, set-up and the CSV write;
+        # glibc's dynamic trimming costs about 136 faults per step here
+        low = self._sample_faults(spec_file, tmp_path / "low", 64)
+        high = self._sample_faults(spec_file, tmp_path / "high", 320)
+        assert (high - low) / 256 < 10, (low, high)
 
 
 class TestVerifyCommand:

@@ -19,7 +19,8 @@ from gmdiff import (
     uniform_grid,
     validate_spec,
 )
-from gmdiff.errors import InvalidHorizon, NegativeEpsilon, NonFiniteState
+from gmdiff.errors import (InvalidHorizon, NegativeEpsilon, NonFiniteParameter,
+                           NonFiniteState)
 from gmdiff.mixture import sample_array
 from gmdiff.samples import SampleBatch
 from gmdiff.solvers import (
@@ -150,6 +151,12 @@ class TestScoreModel:
     def test_negative_epsilon_rejected(self, anchor):
         with pytest.raises(NegativeEpsilon):
             make_score_model(anchor, "perturbed", -0.1)
+
+    @pytest.mark.parametrize("kind", ["exact", "perturbed"])
+    @pytest.mark.parametrize("epsilon0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, anchor, kind, epsilon0):
+        with pytest.raises(NonFiniteParameter, match="epsilon0"):
+            make_score_model(anchor, kind, epsilon0)
 
     def test_same_seed_same_field(self, anchor):
         a = make_score_model(anchor, "perturbed", 0.1, seed=9)
@@ -680,6 +687,9 @@ class TestPredictorCorrector:
             ({"friction": math.nan}, ValueError, "friction"),
             ({"friction": math.inf}, ValueError, "friction"),
             ({"n": 0}, ValueError, "n must be"),
+            # too many nodes to allocate, or a count past the float range
+            ({"h_pred": 1e-300}, ValueError, r"h_pred=1e-300 needs 1e\+300 predictor nodes"),
+            ({"h_pred": 5e-324}, ValueError, "h_pred=5e-324 needs inf predictor nodes"),
         ]:
             with pytest.raises(error, match=name):
                 run_predictor_corrector(model, **(base | bad))
