@@ -162,10 +162,11 @@ def kl_gaussian_exact(mu1, cov1, mu2, cov2) -> float:
         raise NotPositiveDefinite("both covariances must be positive definite") from None
     logdet1 = 2.0 * np.sum(np.log(np.diag(chol1)))
     logdet2 = 2.0 * np.sum(np.log(np.diag(chol2)))
-    prec2 = np.linalg.solve(cov2, np.eye(d))
-    diff = mu1 - mu2
-    kl = 0.5 * (-(logdet1 - logdet2) + np.trace(prec2 @ cov1)
-                + diff @ prec2 @ diff - d)
+    # one solve against [L1 | m1 - m2]: the squared Frobenius norm of
+    # L2^{-1} L1 is tr(S2^{-1} S1), and the last column's squared norm is
+    # the Mahalanobis term
+    sol = np.linalg.solve(chol2, np.column_stack([chol1, mu1 - mu2]))
+    kl = 0.5 * (-(logdet1 - logdet2) + np.sum(sol * sol) - d)
     return float(max(kl, 0.0))
 
 

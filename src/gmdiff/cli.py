@@ -12,23 +12,13 @@ Every output directory gets a run.meta.json with the fully resolved
 configuration (defaults and seed included); replaying that file reproduces
 the CSV outputs byte for byte. Exit codes: 0 success, 1 verification
 failure, 2 config/spec error, 3 numerical failure, 4 internal error.
-
-`main` first sets glibc's malloc mmap and trim thresholds (32 and 64 MiB),
-so the few MB of numpy temporaries each sampler step frees stay in the
-heap for the next step instead of going back to the kernel and faulting
-in again. The CLI owns its process; the library never touches its host's
-allocator. Without glibc's mallopt, or when MALLOC_MMAP_THRESHOLD_,
-MALLOC_TRIM_THRESHOLD_ or a GLIBC_TUNABLES threshold is set, the allocator
-is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
-import os
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -49,11 +39,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
-
-# glibc's mallopt parameter numbers
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
 
 @dataclass
 class RunConfig:
@@ -86,26 +71,6 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps({"command": self.command, "config": asdict(self)},
                           indent=2, sort_keys=True)
-
-
-def _keep_freed_heap() -> None:
-    """Keep freed heap memory for reuse instead of trimming it after each step.
-
-    The values are the ceilings of glibc's dynamic rule on 64-bit hosts
-    (DEFAULT_MMAP_THRESHOLD_MAX and twice that). Both are set: setting either
-    one switches the dynamic rule off, and a raised trim threshold alone
-    faults more, not less.
-    """
-    tunables = os.environ.get("GLIBC_TUNABLES", "")
-    if ("MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ
-            or "malloc.mmap_threshold" in tunables or "malloc.trim_threshold" in tunables):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -182,6 +147,8 @@ def _write_meta(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
+    if not (math.isfinite(cfg.eps) and cfg.eps > 0.0):
+        raise ValueError(f"--eps must be positive and finite, got {cfg.eps!r}")
     spec = load_spec(cfg.spec)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -284,7 +251,6 @@ DISPATCH = {
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

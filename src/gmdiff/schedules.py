@@ -81,8 +81,10 @@ def exp_decay_grid(T: float, N: int, L: float, d: int, K: float = 1.0,
         raise InvalidHorizon(f"horizon T must be positive and finite, got {T!r}")
     if N < 1:
         raise InvalidHorizon(f"need at least one step, got N={N}")
-    if L < 1.0:
-        raise InvalidHorizon(f"Lipschitz constant must be >= 1, got {L!r}")
+    if not (math.isfinite(L) and L >= 1.0):
+        raise InvalidHorizon(f"Lipschitz constant must be finite and >= 1, got {L!r}")
+    if not (math.isfinite(K) and K > 0.0):
+        raise ValueError(f"K must be positive and finite, got {K!r}")
     if not (0.0 <= delta < T):
         raise DeltaExceedsHorizon(f"delta must lie in [0, T), got {delta!r}")
     c = (T + math.log(L)) / N

@@ -36,6 +36,10 @@ _FIELD_BLOCK = 4096
 # bound on the d = 1 lattice's cubic-interpolation error, about 20x below
 # the float32 rounding of the direct field evaluation
 _LATTICE_TOL = 1e-7
+# bytes of the block _reverse_loop frees before its first step: a 1 MiB
+# block still left hundreds of faults per step at d = 2, n = 12000 and at
+# d = 1, n >= 60000; numpy advises huge pages from 4 MiB on
+_FREED_BLOCK = (4 << 20) - 4096
 
 
 @dataclass(frozen=True)
@@ -279,9 +283,19 @@ def _reverse_loop(model: ScoreModel, T: float, rev: np.ndarray, advance, n: int,
     """Walk the reverse-time nodes rev from a standard-normal y, then v if
     momentum is set. advance(y, v, h, s, t_next, rng) takes the score s at
     forward time T - rev[k] to the state at forward time t_next, where y and
-    a present v are guarded. meta gains n, score_kind and epsilon0."""
+    a present v are guarded. meta gains n, score_kind and epsilon0.
+
+    Before the first step the loop allocates and drops one untouched block
+    of _FREED_BLOCK bytes. It relies on glibc's dynamic M_MMAP_THRESHOLD
+    rule on purpose: freeing that mmapped block raises the mmap threshold to
+    its size and the trim threshold to twice that, so the few MB of
+    temporaries each step frees stay in the heap instead of going back to
+    the kernel and faulting in again on the next step. glibc does this once
+    per process and not at all when the user set a threshold; on other
+    allocators the block is a harmless allocation."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
+    np.empty(_FREED_BLOCK, dtype=np.uint8)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n, model.spec0.dim))
     v = rng.standard_normal(y.shape) if momentum else None

@@ -1,9 +1,18 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmdiff
 from gmdiff import random_spec, standard_mixture_1d, standard_normal_spec
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="glibc allocator only")
 
 
 def pytest_runtest_logreport(report):
@@ -54,3 +63,24 @@ def naive_density(weights, means, covs, x):
 def make_random_spec(d, k, seed, eig_range=(0.25, 4.0), mean_scale=2.0):
     return random_spec(d, k, np.random.default_rng(seed),
                        eig_range=eig_range, mean_scale=mean_scale)
+
+
+def minor_faults(setup, code, *args, **env):
+    """Minor page faults of running code after setup in a fresh Python process.
+
+    args become sys.argv[1:]. The child imports this source tree, with glibc's
+    malloc threshold variables cleared and then env set on top.
+    """
+    script = (f"import resource, sys\n{setup}\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              f"{code}\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    child_env = dict(os.environ)
+    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
+        child_env.pop(name, None)
+    child_env.update(env)
+    src = str(Path(gmdiff.__file__).resolve().parents[1])
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child_env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=child_env,
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout.split()[-1])

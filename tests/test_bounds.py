@@ -191,6 +191,16 @@ class TestKlGaussianExact:
         kl = kl_gaussian_exact([0.0], [[4.0]], [0.0], [[1.0]])
         assert kl == pytest.approx(0.8068528194400547, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_inverse_formula(self, d):
+        s1, s2 = make_random_spec(d, 1, 70 + d), make_random_spec(d, 1, 80 + d)
+        prec2 = np.linalg.inv(s2.covs[0])
+        diff = s1.means[0] - s2.means[0]
+        ref = 0.5 * (math.log(np.linalg.det(s2.covs[0]) / np.linalg.det(s1.covs[0]))
+                     + np.trace(prec2 @ s1.covs[0]) + diff @ prec2 @ diff - d)
+        kl = kl_gaussian_exact(s1.means[0], s1.covs[0], s2.means[0], s2.covs[0])
+        assert kl == pytest.approx(ref, rel=1e-12)
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             kl_gaussian_exact([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]],

@@ -1,11 +1,6 @@
-import ctypes
 import hashlib
 import json
 import math
-import os
-import platform
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +11,8 @@ from gmdiff.cli import main
 from gmdiff.fileio import save_spec
 from gmdiff.mixture import validate_spec
 from gmdiff.suite import standard_mixture_1d, standard_normal_spec
+
+from conftest import glibc_only, minor_faults
 
 
 @pytest.fixture
@@ -124,6 +121,15 @@ class TestBoundsCommand:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+    def test_bad_eps_exit_2_before_any_work(self, normal_spec_file, tmp_path, capsys, eps):
+        out = tmp_path / "o"
+        rc = main(["bounds", "--spec", normal_spec_file, "--out", str(out),
+                   "--seed", "1", "--eps", eps])
+        assert rc == 2
+        assert "--eps must be positive and finite" in capsys.readouterr().err
+        assert not (out / "bounds.json").exists()
 
     def test_missing_spec_exit_2(self, tmp_path):
         rc = main(["bounds", "--spec", str(tmp_path / "nope.json"),
@@ -235,6 +241,25 @@ class TestSampleCommand:
                    "--n", "100", "--seed", "2"])
         assert rc == 0
 
+    def test_expdecay_zero_budget_constant_exit_2(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["sample", "--spec", spec_file, "--out", str(out),
+                   "--schedule", "expdecay", "--K", "0", "--n", "10", "--seed", "2"])
+        assert rc == 2
+        assert "K must be positive and finite" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
+    def test_expdecay_past_double_range_exit_2(self, tmp_path, capsys):
+        # L = e^{log L} is inf for a d = 400 standard normal
+        spec = tmp_path / "normal.json"
+        save_spec(standard_normal_spec(400), spec)
+        out = tmp_path / "run"
+        rc = main(["sample", "--spec", str(spec), "--out", str(out),
+                   "--schedule", "expdecay", "--n", "10", "--seed", "2"])
+        assert rc == 2
+        assert "Lipschitz constant must be finite" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
     def test_divergence_exits_3(self, spec_file, tmp_path, capsys):
         rc = main(["sample", "--spec", spec_file, "--out", str(tmp_path / "d"),
                    "--solver", "em", "--T", "2", "--N", "8", "--n", "20",
@@ -256,89 +281,39 @@ class TestSampleCommand:
         assert err.count("\n") == 1
 
 
-_MALLOC_SETTINGS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
-
-
-def _no_libc(name):
-    raise OSError("no C library")
-
-
-class _FakeLibc:
-    """Stands in for ctypes.CDLL(None) and records the mallopt calls."""
-
-    def __init__(self):
-        self.calls, self.result = [], 1
-
-    def mallopt(self, param, value):
-        self.calls.append((param, value))
-        return self.result
-
-
 class TestKeepFreedHeap:
-    @pytest.fixture
-    def libc(self, monkeypatch):
-        for name in _MALLOC_SETTINGS:
-            monkeypatch.delenv(name, raising=False)
-        fake = _FakeLibc()
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: fake)
-        return fake
-
-    def test_sets_mmap_then_trim_threshold(self, libc):
-        gmdiff.cli._keep_freed_heap()
-        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
-
-    def test_refused_mmap_threshold_leaves_trim_alone(self, libc):
-        # a raised trim threshold on its own faults more, not less
-        libc.result = 0
-        gmdiff.cli._keep_freed_heap()
-        assert libc.calls == [(-3, 32 << 20)]
-
-    @pytest.mark.parametrize("name, value", [
-        ("MALLOC_TRIM_THRESHOLD_", "131072"),
-        ("MALLOC_MMAP_THRESHOLD_", "131072"),
-        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
-    ])
-    def test_user_setting_leaves_allocator_alone(self, libc, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        gmdiff.cli._keep_freed_heap()
-        assert libc.calls == []
-
-    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
-                             ids=["no_libc", "no_mallopt"])
-    def test_silent_no_op_without_mallopt(self, monkeypatch, cdll):
-        monkeypatch.setattr(ctypes, "CDLL", cdll)
-        gmdiff.cli._keep_freed_heap()
-
     @staticmethod
-    def _sample_faults(spec_file, out, N):
+    def _sample_faults(spec_file, out, N, **env):
         """Minor page faults of one `gmdiff sample` call in a fresh process."""
-        code = (
-            "import contextlib, io, resource, sys\n"
-            "from gmdiff.cli import main\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = main(sys.argv[1:])\n"
-            "assert rc == 0, rc\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
-        env = dict(os.environ)
-        for name in _MALLOC_SETTINGS:
-            env.pop(name, None)
-        src = str(Path(gmdiff.cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = ["sample", "--spec", spec_file, "--out", str(out), "--solver", "ei",
-                "--T", "6", "--n", "12000", "--N", str(N), "--epsilon0", "0.1",
+        code = ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = main(sys.argv[1:])\n"
+                "assert rc == 0, rc")
+        argv = ["sample", "--spec", spec_file, "--out", out, "--solver", "ei",
+                "--T", "6", "--n", "12000", "--N", N, "--epsilon0", "0.1",
                 "--seed", "1"]
-        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                              capture_output=True, text=True, check=True)
-        return int(done.stdout.split()[-1])
+        return minor_faults("import contextlib, io\nfrom gmdiff.cli import main",
+                            code, *argv, **env)
 
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+    @glibc_only
     def test_sampler_steps_do_not_refault_the_heap(self, spec_file, tmp_path):
         # the difference of two runs cancels imports, set-up and the CSV write;
         # glibc's dynamic trimming costs about 136 faults per step here
         low = self._sample_faults(spec_file, tmp_path / "low", 64)
         high = self._sample_faults(spec_file, tmp_path / "high", 320)
         assert (high - low) / 256 < 10, (low, high)
+
+    @glibc_only
+    @pytest.mark.parametrize("name, value", [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ])
+    def test_user_setting_leaves_allocator_alone(self, spec_file, tmp_path, name, value):
+        # a threshold the user set switches glibc's dynamic rule off, so the
+        # steps fault again (about 360 per step)
+        low = self._sample_faults(spec_file, tmp_path / "low", 64, **{name: value})
+        high = self._sample_faults(spec_file, tmp_path / "high", 320, **{name: value})
+        assert (high - low) / 256 > 50, (low, high)
 
 
 class TestVerifyCommand:

@@ -78,6 +78,17 @@ class TestExpDecayGrid:
         # the reported minimum actually restores the constraint
         exp_decay_grid(T=2.0, N=err.min_steps, L=10.0, d=2, K=1.0)
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_rejects_non_finite_lipschitz_constant(self, L):
+        # inf overflowed the step-count message, nan never left the recurrence
+        with pytest.raises(InvalidHorizon, match="Lipschitz constant must be finite"):
+            exp_decay_grid(T=2.0, N=100, L=L, d=1)
+
+    @pytest.mark.parametrize("K", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_budget_constant(self, K):
+        with pytest.raises(ValueError, match="K must be positive and finite"):
+            exp_decay_grid(T=2.0, N=100, L=10.0, d=1, K=K)
+
     def test_steps_within_contract_band(self):
         for T, N, L, d in [(2.0, 100, 10.0, 1), (8.0, 400, 50.0, 1),
                            (1.5, 200, 2.0, 1), (3.0, 500, 1000.0, 1)]:

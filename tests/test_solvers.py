@@ -30,7 +30,7 @@ from gmdiff.solvers import (
     _guard,
 )
 
-from conftest import make_random_spec
+from conftest import glibc_only, make_random_spec, minor_faults
 
 
 class _Recomputing:
@@ -874,3 +874,34 @@ def test_shared_loop_matches_reference_loops(solver, d, kind, delta, corr_steps)
         ref = _reference_predictor_corrector(model, *args)
     np.testing.assert_array_equal(got.points, ref.points)
     assert list(got.meta.items()) == list(ref.meta.items())
+
+
+_FAULT_SETUP = ("from gmdiff import (lipschitz_suite, make_score_model, run_predictor_corrector,\n"
+                "    run_sampler, standard_mixture_1d, uniform_grid)\n"
+                "N = int(sys.argv[1])")
+# the c08 shape: EI, perturbed score, anchor spec
+_EI_RUN = ("run_sampler(make_score_model(standard_mixture_1d(), 'perturbed', 0.1, seed=1),\n"
+           "            uniform_grid(6.0, N), 'ei', 12000, 1)")
+_DPUM_RUN = ("run_predictor_corrector(make_score_model(lipschitz_suite(2024)[5]), 6.0, 6.0 / N,\n"
+             "                        1.5 / N, 2, 'underdamped', n=12000, seed=1)")
+
+
+def _faults_per_step(run, **env):
+    # the difference of two run lengths cancels imports and set-up
+    low, high = (minor_faults(_FAULT_SETUP, run, N, **env) for N in (64, 320))
+    return (high - low) / 256
+
+
+@glibc_only
+class TestFreedHeapInLibrary:
+    def test_run_sampler_steps_do_not_refault_the_heap(self):
+        # glibc's default trimming costs about 136 faults per step here
+        assert _faults_per_step(_EI_RUN) < 10
+
+    def test_predictor_corrector_nodes_do_not_refault_the_heap(self):
+        # about 1,870 faults per node with glibc's default trimming
+        assert _faults_per_step(_DPUM_RUN) < 10
+
+    def test_user_trim_threshold_still_wins(self):
+        # a threshold the user set switches glibc's dynamic rule off
+        assert _faults_per_step(_EI_RUN, MALLOC_TRIM_THRESHOLD_="131072") > 50
