@@ -239,8 +239,6 @@ def region_mask(spec_t: GmmSpec, a_t: float, points: np.ndarray,
                 params: ConditionParams) -> np.ndarray:
     """Vectorized region membership for an (n, d) array of points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != spec_t.dim:
-        raise DimensionMismatch(f"points have shape {pts.shape}, expected (*, {spec_t.dim})")
     dists = _mean_distances(spec_t, a_t, pts)
     ok = (dists >= params.beta).all(axis=0) & (dists <= params.R).all(axis=0)
     ok &= density(spec_t, pts) >= params.gamma
@@ -258,8 +256,6 @@ def calibrate_region(spec_t: GmmSpec, a_t: float, samples: SampleBatch) -> Condi
     pts = samples.points
     if pts.shape[0] < 1000:
         raise TooFewSamples(f"need >= 1000 samples to calibrate, got {pts.shape[0]}")
-    if pts.shape[1] != spec_t.dim:
-        raise DimensionMismatch(f"samples have dim {pts.shape[1]}, expected {spec_t.dim}")
     dists = _mean_distances(spec_t, a_t, pts)
     R = max(1.0, float(np.percentile(dists.max(axis=0), 99.0)))
     beta = min(float(np.percentile(dists.min(axis=0), 1.0)), _BETA_GAMMA_CAP)

@@ -8,10 +8,10 @@ One binary, four subcommands plus replay:
   sweep   -- convergence sweep over N or epsilon0, write CSV + slope summary
   replay  -- re-run any command from its emitted metadata file
 
-Every output directory gets a run.meta.json with the fully resolved
+Every run that exits 0 or 1 writes run.meta.json with the fully resolved
 configuration (defaults and seed included); replaying that file reproduces
-the CSV outputs byte for byte. Exit codes: 0 success, 1 verification
-failure, 2 config/spec error, 3 numerical failure, 4 internal error.
+the outputs byte for byte. Exit codes: 0 success, 1 verification failure,
+2 config/spec error, 3 numerical failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .bounds import LOG_FLOAT_MAX, bound_report
 from .errors import GmdiffError, NonFiniteState
 from .fileio import load_spec, save_bound_reports, save_sweep_csv
 from .metrics import convergence_sweep, default_histogram_grid
-from .schedules import exp_decay_grid, uniform_grid
+from .mixture import GmmSpec
+from .schedules import check_grid_args, exp_decay_grid, uniform_grid
 from .solvers import make_score_model, run_predictor_corrector, run_sampler
 from .verify import run_suite
 
@@ -142,20 +143,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _write_meta(cfg: RunConfig, out_dir: Path) -> None:
-    (out_dir / "run.meta.json").write_text(cfg.to_json() + "\n")
-
-
-def cmd_bounds(cfg: RunConfig) -> int:
+def cmd_bounds(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     if not (math.isfinite(cfg.eps) and cfg.eps > 0.0):
         raise ValueError(f"--eps must be positive and finite, got {cfg.eps!r}")
-    spec = load_spec(cfg.spec)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     times = sorted(set([0.0] + [float(t) for t in cfg.t_list]))
     reports = [bound_report(spec, t, seed=cfg.seed) for t in times]
     save_bound_reports(reports, out_dir / "bounds.json")
-    _write_meta(cfg, out_dir)
     # log space: L itself can exceed the double range at high d
     log_n = (2.0 * max(r.log_L for r in reports) + math.log(spec.dim)
              - 2.0 * math.log(cfg.eps))
@@ -166,18 +159,17 @@ def cmd_bounds(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sample(cfg: RunConfig) -> int:
+def cmd_sample(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     if cfg.N < 1:
         raise ValueError(f"--N must be >= 1, got {cfg.N}")
-    spec = load_spec(cfg.spec)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = make_score_model(spec, "perturbed" if cfg.epsilon0 > 0 else "exact",
                              cfg.epsilon0, seed=cfg.seed)
     if cfg.solver in ("em", "ei"):
         if cfg.schedule == "uniform":
             grid = uniform_grid(cfg.T, cfg.N, cfg.delta)
         else:
+            # the checks that need no L come before the calibrated report
+            check_grid_args(cfg.T, cfg.N, cfg.delta, cfg.K)
             L = bound_report(spec, 0.0, seed=cfg.seed).L
             grid = exp_decay_grid(cfg.T, cfg.N, max(L, 1.0), spec.dim, cfg.K, cfg.delta)
         batch = run_sampler(model, grid, cfg.solver, cfg.n, cfg.seed)
@@ -188,26 +180,17 @@ def cmd_sample(cfg: RunConfig) -> int:
         batch = run_predictor_corrector(
             model, cfg.T, h_pred, h_corr, cfg.corr_steps, variant,
             friction=cfg.friction, delta=cfg.delta, n=cfg.n, seed=cfg.seed)
-    merged_meta = dict(batch.meta)
-    merged_meta["config"] = asdict(cfg)
-    batch = type(batch)(points=batch.points, meta=merged_meta)
+    batch.meta["config"] = asdict(cfg)
     batch.to_csv(out_dir / "samples.csv")
-    _write_meta(cfg, out_dir)
     print(f"wrote {out_dir / 'samples.csv'} ({batch.n} points, dim {batch.dim})")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    kwargs = {}
-    if cfg.suite == "mixture":
-        kwargs["t"] = cfg.T
-    checks = run_suite(cfg.suite, spec, **kwargs)
+def cmd_verify(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
+    kwargs = {"t": cfg.T} if cfg.suite == "mixture" else {}
+    checks = run_suite(cfg.suite, spec, seed=cfg.seed, **kwargs)
     payload = [c.to_dict() for c in checks]
     (out_dir / "verify.json").write_text(json.dumps(payload, indent=2) + "\n")
-    _write_meta(cfg, out_dir)
     all_ok = all(c.passed for c in checks)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -215,20 +198,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    spec = load_spec(cfg.spec)
-    if len(cfg.values) < 4:
-        print("sweep needs at least 4 values", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     grid = default_histogram_grid(spec, bins=cfg.bins)
     result = convergence_sweep(
         spec, cfg.solver, cfg.axis, list(cfg.values), "kl_histogram",
         cfg.n, cfg.seed, T=cfg.T, delta=cfg.delta, fixed_N=cfg.N,
         fixed_epsilon0=cfg.epsilon0, hist_grid=grid, threads=cfg.threads)
     save_sweep_csv(result, out_dir / "sweep.csv")
-    _write_meta(cfg, out_dir)
     print(f"wrote {out_dir / 'sweep.csv'}; slope = {result.slope:.4f} "
           f"+- {result.slope_half_width:.4f}")
     return EXIT_OK
@@ -239,7 +215,7 @@ def cmd_replay(meta_path: str, out_override: str | None) -> int:
     cfg = RunConfig(**payload["config"])
     if out_override is not None:
         cfg.out = out_override
-    return DISPATCH[cfg.command](cfg)
+    return _run(cfg)
 
 
 DISPATCH = {
@@ -250,14 +226,24 @@ DISPATCH = {
 }
 
 
+def _run(cfg: RunConfig) -> int:
+    """Load the spec, make the output directory and run the command's
+    handler; on its return (exit 0 or 1) record cfg in run.meta.json."""
+    spec = load_spec(cfg.spec)
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    code = DISPATCH[cfg.command](cfg, spec, out_dir)
+    (out_dir / "run.meta.json").write_text(cfg.to_json() + "\n")
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "replay":
             return cmd_replay(args.meta, args.out)
-        cfg = _resolve_config(args)
-        return DISPATCH[cfg.command](cfg)
+        return _run(_resolve_config(args))
     except NonFiniteState as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -62,8 +62,7 @@ def affine_push(spec: GmmSpec, a: float, b: float) -> GmmSpec:
 
 
 def marginal_at(spec0: GmmSpec, t: float) -> GmmSpec:
-    """The forward marginal at time t: affine_push with the closed-form (a_t, b_t)."""
+    """The forward marginal at time t: affine_push with the closed-form
+    (a_t, b_t), which is (1, 0) at t = 0, where affine_push returns spec0."""
     coeff = ou_coefficients(t)
-    if coeff.t == 0.0:
-        return spec0
     return affine_push(spec0, coeff.a, coeff.b)

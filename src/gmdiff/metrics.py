@@ -26,7 +26,6 @@ from .bounds import ConditionParams, region_mask, second_moment
 from .errors import (
     DimensionMismatch,
     DimensionTooHigh,
-    EmptyBatch,
     NonFiniteParameter,
     NoPointsInRegion,
 )
@@ -123,22 +122,18 @@ class SpectralProbeResult(NamedTuple):
     n_passing: int
 
 
-def _batch_points(samples) -> np.ndarray:
-    if isinstance(samples, SampleBatch):
-        return samples.points
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    if pts.size == 0:
-        raise EmptyBatch("no sample points given")
-    if not np.isfinite(pts).all():
-        raise NonFiniteParameter("sample points must be finite")
-    return pts
+def _batch_points(samples, dim: int) -> np.ndarray:
+    """The (n, dim) points of a SampleBatch, or of an array checked as one
+    (EmptyBatch, NonFiniteParameter); DimensionMismatch for another dim."""
+    if not isinstance(samples, SampleBatch):
+        samples = SampleBatch(points=samples)
+    if samples.dim != dim:
+        raise DimensionMismatch(f"samples have dim {samples.dim}, expected {dim}")
+    return samples.points
 
 
 def _sample_cell_masses(pts: np.ndarray, grid: HistogramGrid) -> tuple[np.ndarray, float]:
     """Normalized histogram over grid cells plus the out-of-grid fraction."""
-    if pts.shape[1] != grid.dim:
-        raise DimensionMismatch(
-            f"samples have dim {pts.shape[1]}, grid has dim {grid.dim}")
     hist, _ = np.histogramdd(pts, bins=grid.edges)
     n = pts.shape[0]
     masses = hist / n
@@ -191,7 +186,7 @@ def reference_cell_masses(spec: GmmSpec, grid: HistogramGrid) -> tuple[np.ndarra
 def _resolve_reference(reference, grid: HistogramGrid) -> tuple[np.ndarray, float]:
     if isinstance(reference, GmmSpec):
         return reference_cell_masses(reference, grid)
-    return _sample_cell_masses(_batch_points(reference), grid)
+    return _sample_cell_masses(_batch_points(reference, grid.dim), grid)
 
 
 def _multinomial_se(weights: np.ndarray, cell_values: np.ndarray, n: int) -> float:
@@ -207,7 +202,7 @@ def tv_histogram(samples, reference, grid: HistogramGrid) -> float:
     """Total-variation estimate 0.5 * sum |p_hat - p_ref| over cells, with
     out-of-grid mass treated as one extra cell. Symmetric when both sides
     are sample batches; always in [0, 1]."""
-    p_hat, p_hat_out = _sample_cell_masses(_batch_points(samples), grid)
+    p_hat, p_hat_out = _sample_cell_masses(_batch_points(samples, grid.dim), grid)
     p_ref, p_ref_out = _resolve_reference(reference, grid)
     tv = 0.5 * (np.abs(p_hat - p_ref).sum() + abs(p_hat_out - p_ref_out))
     return float(min(1.0, tv))
@@ -219,7 +214,7 @@ def kl_histogram(samples, reference: GmmSpec, grid: HistogramGrid) -> KlHistogra
     Reference cells with mass below 1e-12 are clamped to 1e-12 and counted,
     keeping the estimate finite and auditable on support mismatch.
     """
-    pts = _batch_points(samples)
+    pts = _batch_points(samples, grid.dim)
     p_hat, _ = _sample_cell_masses(pts, grid)
     p_ref, _ = _resolve_reference(reference, grid)
     occupied = p_hat > 0.0
@@ -268,11 +263,8 @@ class MomentDiagnostics:
 def moment_diagnostics(samples, reference: GmmSpec) -> MomentDiagnostics:
     """Compare sample mean, covariance and E|x|^2 against the mixture's
     analytic values, reporting per-entry z-scores."""
-    pts = _batch_points(samples)
+    pts = _batch_points(samples, reference.dim)
     n = pts.shape[0]
-    if pts.shape[1] != reference.dim:
-        raise DimensionMismatch(
-            f"samples have dim {pts.shape[1]}, reference has dim {reference.dim}")
     emp_mean = pts.mean(axis=0)
     centered = pts - emp_mean
     emp_cov = centered.T @ centered / (n - 1)
@@ -323,7 +315,7 @@ def jacobian_spectral_probe(spec_t: GmmSpec, points, params: ConditionParams,
     Raises NoPointsInRegion when no probe point satisfies the region
     clauses for the given parameters.
     """
-    pts = _batch_points(points)
+    pts = _batch_points(points, spec_t.dim)
     mask = region_mask(spec_t, a_t, pts, params)
     passing = pts[mask]
     if passing.shape[0] == 0:
@@ -379,10 +371,11 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
                       threads: int = 1) -> SweepResult:
     """Run the sampler across a parameter axis and fit the log-log trend.
 
-    axis "N" sweeps the uniform grid resolution at fixed score error;
-    axis "epsilon0" sweeps the score perturbation at fixed N. The metric is
-    evaluated against the marginal at time delta (the target the sampler is
-    actually aiming for).
+    axis "N" sweeps the uniform grid resolution (integers >= 1) at fixed
+    score error; axis "epsilon0" sweeps the score perturbation (> 0) at fixed
+    N. Every value is checked before any run. The metric is evaluated
+    against the marginal at time delta (the target the sampler is actually
+    aiming for).
     """
     if axis not in ("N", "epsilon0"):
         raise ValueError(f"axis must be 'N' or 'epsilon0', got {axis!r}")
@@ -390,6 +383,13 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
         raise ValueError(f"metric must be 'kl_histogram' or 'tv_histogram', got {metric!r}")
     if len(values) < 4:
         raise ValueError("sweep needs at least 4 values")
+    vals = np.asarray(values, dtype=float)
+    if axis == "N":
+        ok, rule = (vals >= 1) & (vals == np.floor(vals)), "integers >= 1"
+    else:
+        ok, rule = vals > 0, "positive"
+    if not np.all(ok & np.isfinite(vals)):
+        raise ValueError(f"{axis} sweep values must be finite {rule}, got {list(values)}")
     reference = spec0 if delta == 0.0 else marginal_at(spec0, delta)
     grid = hist_grid if hist_grid is not None else default_histogram_grid(reference)
     children = np.random.SeedSequence(seed).spawn(len(values))

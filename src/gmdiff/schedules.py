@@ -53,14 +53,22 @@ class TimeGrid:
         return f"grid(N={self.N}, T={self.T!r}, delta={self.delta!r})"
 
 
-def uniform_grid(T: float, N: int, delta: float = 0.0) -> TimeGrid:
-    """Equally spaced points from delta to T, h = (T - delta) / N."""
+def check_grid_args(T: float, N: int, delta: float = 0.0, K: float = 1.0) -> None:
+    """Reject what no grid accepts: T not positive and finite, N < 1, delta
+    outside [0, T), or a step-budget constant K not positive and finite."""
     if not (math.isfinite(T) and T > 0.0):
         raise InvalidHorizon(f"horizon T must be positive and finite, got {T!r}")
     if N < 1:
         raise InvalidHorizon(f"need at least one step, got N={N}")
     if not (0.0 <= delta < T):
         raise DeltaExceedsHorizon(f"delta must lie in [0, T), got {delta!r}")
+    if not (math.isfinite(K) and K > 0.0):
+        raise ValueError(f"K must be positive and finite, got {K!r}")
+
+
+def uniform_grid(T: float, N: int, delta: float = 0.0) -> TimeGrid:
+    """Equally spaced points from delta to T, h = (T - delta) / N."""
+    check_grid_args(T, N, delta)
     pts = np.linspace(delta, T, N + 1)
     return TimeGrid(points=pts, T=T, delta=delta)
 
@@ -77,16 +85,9 @@ def exp_decay_grid(T: float, N: int, L: float, d: int, K: float = 1.0,
     O(c^2) per step) and the terminal remainder is absorbed so every step
     stays within [c/L, c] for L = 1 or L >= 2.
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise InvalidHorizon(f"horizon T must be positive and finite, got {T!r}")
-    if N < 1:
-        raise InvalidHorizon(f"need at least one step, got N={N}")
+    check_grid_args(T, N, delta, K)
     if not (math.isfinite(L) and L >= 1.0):
         raise InvalidHorizon(f"Lipschitz constant must be finite and >= 1, got {L!r}")
-    if not (math.isfinite(K) and K > 0.0):
-        raise ValueError(f"K must be positive and finite, got {K!r}")
-    if not (0.0 <= delta < T):
-        raise DeltaExceedsHorizon(f"delta must lie in [0, T), got {delta!r}")
     c = (T + math.log(L)) / N
     budget = 1.0 / (K * d)
     if c > budget:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import calibrate_region, lipschitz_constant, spectral_summary
+from .bounds import bound_report
 from .forward import marginal_at, ou_coefficients
 from .metrics import (
     default_histogram_grid,
@@ -91,20 +91,18 @@ def score_suite(spec: GmmSpec, n_points: int = 40, seed: int = 7) -> list[CheckR
 
 def lipschitz_suite_checks(spec: GmmSpec, times=(0.0, 0.5, 2.0),
                            n_points: int = 10000, seed: int = 11) -> list[CheckResult]:
-    """At each time: calibrate the region, probe the score Jacobian over
-    region-passing samples, and require max spectral norm <= closed-form L."""
+    """At each time: take L and the region calibrated from n_points samples
+    from bound_report, probe the score Jacobian over region-passing samples,
+    and require max spectral norm <= L."""
     results = []
     for t in times:
+        report = bound_report(spec, t, calibration_samples=n_points, seed=seed)
         spec_t = marginal_at(spec, t)
-        a_t = ou_coefficients(t).a
-        batch = sample(spec_t, n_points, seed)
-        params = calibrate_region(spec_t, a_t, batch)
-        probe_batch = sample(spec_t, n_points, seed + 1)
-        probe = jacobian_spectral_probe(spec_t, probe_batch, params, a_t)
-        L = lipschitz_constant(spectral_summary(spec_t), params, spec.dim).value
+        probe = jacobian_spectral_probe(spec_t, sample(spec_t, n_points, seed + 1),
+                                        report.params, ou_coefficients(t).a)
         results.append(CheckResult(
-            f"jacobian_norm_below_L_at_t={t}", probe.max_norm, L,
-            probe.max_norm <= L))
+            f"jacobian_norm_below_L_at_t={t}", probe.max_norm, report.L,
+            probe.max_norm <= report.L))
     return results
 
 

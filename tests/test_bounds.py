@@ -284,6 +284,13 @@ class TestRegionCheck:
         scalar = [region_check(anchor, 1.0, p, params).ok for p in pts]
         assert list(mask) == scalar
 
+    def test_mask_takes_one_point_and_puts_nan_outside(self, anchor):
+        # region_mask leaves finiteness to the caller: NaN fails every clause
+        params = ConditionParams(R=4.0, beta=0.05, gamma=0.01)
+        assert region_mask(anchor, 1.0, [1.0], params).tolist() == [True]
+        mask = region_mask(anchor, 1.0, [[1.0], [math.nan]], params)
+        assert mask.tolist() == [True, False]
+
 
 class TestCalibrateRegion:
     def test_standard_normal_radius(self, std1d):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gmdiff.cli
+import gmdiff.metrics
 from gmdiff.cli import main
 from gmdiff.fileio import save_spec
 from gmdiff.mixture import validate_spec
@@ -130,6 +131,7 @@ class TestBoundsCommand:
         assert rc == 2
         assert "--eps must be positive and finite" in capsys.readouterr().err
         assert not (out / "bounds.json").exists()
+        assert not (out / "run.meta.json").exists()
 
     def test_missing_spec_exit_2(self, tmp_path):
         rc = main(["bounds", "--spec", str(tmp_path / "nope.json"),
@@ -220,6 +222,7 @@ class TestSampleCommand:
         assert rc == 2
         assert name in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
+        assert not (out / "run.meta.json").exists()
 
     @pytest.mark.parametrize("args, name", [
         (["--solver", "ei", "--N", "-1"], "--N must be >= 1"),
@@ -233,6 +236,7 @@ class TestSampleCommand:
         assert rc == 2
         assert name in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
+        assert not (out / "run.meta.json").exists()
 
     def test_expdecay_schedule(self, spec_file, tmp_path):
         out = tmp_path / "run"
@@ -241,12 +245,33 @@ class TestSampleCommand:
                    "--n", "100", "--seed", "2"])
         assert rc == 0
 
-    def test_expdecay_zero_budget_constant_exit_2(self, spec_file, tmp_path, capsys):
+    @staticmethod
+    def _no_bound_report(*args, **kwargs):
+        raise AssertionError("bound_report ran before the grid arguments were checked")
+
+    def test_expdecay_zero_budget_constant_exit_2(self, spec_file, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(gmdiff.cli, "bound_report", self._no_bound_report)
         out = tmp_path / "run"
         rc = main(["sample", "--spec", spec_file, "--out", str(out),
                    "--schedule", "expdecay", "--K", "0", "--n", "10", "--seed", "2"])
         assert rc == 2
         assert "K must be positive and finite" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
+    @pytest.mark.parametrize("args, name", [
+        (["--K", "nan"], "K must be positive and finite"),
+        (["--T", "inf"], "horizon T must be positive and finite"),
+        (["--delta", "6", "--T", "6"], "delta must lie in [0, T)"),
+    ], ids=["K-nan", "T-inf", "delta-is-T"])
+    def test_expdecay_bad_grid_argument_exit_2_before_report(self, spec_file, tmp_path,
+                                                            capsys, monkeypatch, args, name):
+        monkeypatch.setattr(gmdiff.cli, "bound_report", self._no_bound_report)
+        out = tmp_path / "run"
+        rc = main(["sample", "--spec", spec_file, "--out", str(out), "--schedule",
+                   "expdecay", "--n", "10", "--seed", "2"] + args)
+        assert rc == 2
+        assert name in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
 
     def test_expdecay_past_double_range_exit_2(self, tmp_path, capsys):
@@ -336,12 +361,58 @@ class TestVerifyCommand:
                    "--out", str(tmp_path / "v"), "--seed", "1", "--T", "1.5"])
         assert rc == 0
 
+    def test_seed_reaches_the_suite_and_replays(self, spec_file, tmp_path):
+        measured = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["verify", "mixture", "--spec", spec_file, "--out", str(out),
+                         "--seed", seed]) == 0
+            measured.append([c["measured"] for c in
+                             json.loads((out / "verify.json").read_text())])
+        assert all(a != b for a, b in zip(*measured))
+        again = tmp_path / "again"
+        assert main(["replay", str(tmp_path / "2" / "run.meta.json"),
+                     "--out", str(again)]) == 0
+        assert sha256(again / "verify.json") == sha256(tmp_path / "2" / "verify.json")
+
+    def test_failed_check_exits_1_and_records_the_run(self, spec_file, tmp_path,
+                                                      monkeypatch, capsys):
+        from gmdiff.verify import CheckResult
+
+        monkeypatch.setattr(gmdiff.cli, "run_suite", lambda *args, **kwargs: [
+            CheckResult("always_fails", 2.0, 1.0, False)])
+        out = tmp_path / "v"
+        rc = main(["verify", "score", "--spec", spec_file, "--out", str(out),
+                   "--seed", "1"])
+        assert rc == 1
+        assert "[FAIL] always_fails" in capsys.readouterr().out
+        assert json.loads((out / "run.meta.json").read_text())["command"] == "verify"
+
 
 class TestSweepCommand:
-    def test_single_value_sweep_rejected(self, spec_file, tmp_path):
-        rc = main(["sweep", "N", "--spec", spec_file, "--out", str(tmp_path / "s"),
+    def test_single_value_sweep_rejected(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "s"
+        rc = main(["sweep", "N", "--spec", spec_file, "--out", str(out),
                    "--values", "64", "--seed", "1"])
         assert rc == 2
+        assert "sweep needs at least 4 values" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "run.meta.json").exists()
+
+    @pytest.mark.parametrize("axis, bad", [
+        ("N", "inf"), ("N", "nan"), ("N", "8.5"), ("N", "0"), ("N", "-0.1"),
+        ("epsilon0", "inf"), ("epsilon0", "nan"), ("epsilon0", "0"), ("epsilon0", "-0.1"),
+    ])
+    def test_bad_value_exit_2_before_any_run(self, spec_file, tmp_path, capsys,
+                                             monkeypatch, axis, bad):
+        monkeypatch.setattr(gmdiff.metrics, "run_sampler", lambda *args, **kwargs:
+                            pytest.fail("a sampler ran before the values were checked"))
+        out = tmp_path / "s"
+        rc = main(["sweep", axis, "--spec", spec_file, "--out", str(out),
+                   "--values", bad, "16", "32", "64", "--seed", "1"])
+        assert rc == 2
+        assert f"{axis} sweep values must be finite" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_small_n_sweep_runs_and_writes(self, spec_file, tmp_path):
         out = tmp_path / "s"
@@ -352,6 +423,7 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "axis_value,metric,value,stderr"
         assert len(lines) == 5
+        assert json.loads((out / "run.meta.json").read_text())["command"] == "sweep"
         summary = json.loads((out / "sweep.summary.json").read_text())
         assert "slope" in summary
 

@@ -10,6 +10,8 @@ import gmdiff.metrics
 from gmdiff import (
     ConditionParams,
     HistogramGrid,
+    calibrate_region,
+    convergence_sweep,
     default_histogram_grid,
     jacobian_spectral_probe,
     kl_histogram,
@@ -24,6 +26,7 @@ from gmdiff import (
 from gmdiff.errors import (
     DimensionMismatch,
     DimensionTooHigh,
+    EmptyBatch,
     NonFiniteParameter,
     NoPointsInRegion,
 )
@@ -33,6 +36,7 @@ from gmdiff.metrics import (
     reference_cell_masses,
     spectral_norms,
 )
+from gmdiff.bounds import region_mask
 from gmdiff.mixture import density, score_jacobian
 
 from conftest import make_random_spec
@@ -328,9 +332,22 @@ _SAMPLE_METRICS = {
 }
 
 
+# the metrics plus the two region entry points that share their dimension
+# check with mixture._check_points: region_mask takes an array (a NaN point
+# falls outside the region), calibrate_region a batch of >= 1000 points
+_DIM_CHECKED = {
+    **_SAMPLE_METRICS,
+    "region_mask": lambda pts, spec, grid, clean: region_mask(spec, 1.0, pts, _PROBE_PARAMS),
+    "calibrate_region": lambda pts, spec, grid, clean: calibrate_region(spec, 1.0, pts),
+}
+_WRONG_DIM_CASES = ([(m, kind) for m in _SAMPLE_METRICS for kind in ("array", "batch")]
+                    + [("region_mask", "array"), ("calibrate_region", "batch")])
+
+
 class TestNonFiniteSamples:
     """Every metric that takes sample points rejects a NaN or infinity among
-    them instead of booking it as mass outside the grid."""
+    them instead of booking it as mass outside the grid, and rejects empty
+    and wrong-dimension points."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("metric", list(_SAMPLE_METRICS))
@@ -342,6 +359,35 @@ class TestNonFiniteSamples:
         pts[500, 0] = bad
         with pytest.raises(NonFiniteParameter):
             _SAMPLE_METRICS[metric](pts, anchor, grid, clean)
+
+    @pytest.mark.parametrize("metric", list(_SAMPLE_METRICS))
+    def test_rejects_empty_points(self, anchor, metric):
+        clean = sample(anchor, 1000, seed=10)
+        with pytest.raises(EmptyBatch):
+            _SAMPLE_METRICS[metric](np.empty((0, 1)), anchor,
+                                    default_histogram_grid(anchor), clean)
+
+    @pytest.mark.parametrize("metric, kind", _WRONG_DIM_CASES)
+    def test_rejects_wrong_dimension(self, anchor, metric, kind):
+        wrong = sample(standard_normal_spec(2), 1000, seed=9)
+        clean = sample(anchor, 1000, seed=10)
+        with pytest.raises(DimensionMismatch):
+            _DIM_CHECKED[metric](wrong if kind == "batch" else wrong.points, anchor,
+                                 default_histogram_grid(anchor), clean)
+
+
+class TestConvergenceSweep:
+    @pytest.mark.parametrize("axis, bad", [
+        ("N", math.inf), ("N", math.nan), ("N", 8.5), ("N", 0.0), ("N", -0.1),
+        ("epsilon0", math.inf), ("epsilon0", math.nan), ("epsilon0", 0.0),
+        ("epsilon0", -0.1),
+    ])
+    def test_rejects_bad_value_before_any_run(self, anchor, monkeypatch, axis, bad):
+        monkeypatch.setattr(gmdiff.metrics, "run_sampler", lambda *args, **kwargs:
+                            pytest.fail("a sampler ran before the values were checked"))
+        with pytest.raises(ValueError, match="sweep values must be finite"):
+            convergence_sweep(anchor, "ei", axis, [16.0, 32.0, bad, 64.0],
+                              "kl_histogram", 100, seed=1, T=2.0, fixed_N=16)
 
 
 class TestSpectralNorms:
