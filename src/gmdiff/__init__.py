@@ -28,7 +28,6 @@ from .metrics import (
     tv_histogram,
 )
 from .mixture import (
-    GaussianComponent,
     GmmSpec,
     Responsibilities,
     density,
@@ -54,7 +53,7 @@ from .suite import lipschitz_suite, random_spec, standard_mixture_1d, standard_n
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "ConditionParams", "GaussianComponent", "GmmSpec",
+    "BoundReport", "ConditionParams", "GmmSpec",
     "HistogramGrid", "OuCoefficients", "Responsibilities", "SampleBatch",
     "ScoreModel", "SpectralSummary", "SweepResult", "TimeGrid",
     "affine_push", "bound_report", "calibrate_region", "convergence_sweep",

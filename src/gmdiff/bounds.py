@@ -28,7 +28,8 @@ from .errors import (
     ParamsOutOfRange,
     TooFewSamples,
 )
-from .mixture import _BLOCK, GmmSpec, _check_points, density
+from .forward import marginal_at, ou_coefficients
+from .mixture import _BLOCK, GmmSpec, _check_points, density, sample
 from .samples import SampleBatch
 
 _BETA_GAMMA_CAP = 0.0999  # keeps beta, gamma strictly below the 0.1 range limit
@@ -299,17 +300,13 @@ class BoundReport:
         }
 
 
-def bound_report(spec0: GmmSpec, t: float, params: ConditionParams | None = None,
-                 calibration_samples: int = 20000, seed: int = 0) -> BoundReport:
+def bound_report(spec0: GmmSpec, t: float, calibration_samples: int = 20000,
+                 seed: int = 0) -> BoundReport:
     """Assemble the full report at time t, calibrating (R, beta, gamma) from
-    fresh forward samples when not supplied."""
-    from .forward import marginal_at, ou_coefficients
-    from .mixture import sample
-
+    fresh forward samples."""
     spec_t = marginal_at(spec0, t)
     a_t = ou_coefficients(t).a
-    if params is None:
-        params = calibrate_region(spec_t, a_t, sample(spec_t, calibration_samples, seed))
+    params = calibrate_region(spec_t, a_t, sample(spec_t, calibration_samples, seed))
     summ = spectral_summary(spec_t)
     lip = lipschitz_constant(summ, params, spec0.dim)
     mom = second_moment(spec0)

@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import LOG_FLOAT_MAX, bound_report
 from .errors import GmdiffError, NonFiniteState
 from .fileio import load_spec, save_bound_reports, save_sweep_csv
-from .metrics import convergence_sweep, default_histogram_grid
+from .metrics import convergence_sweep
 from .mixture import GmmSpec
 from .schedules import check_grid_args, exp_decay_grid, uniform_grid
 from .solvers import make_score_model, run_predictor_corrector, run_sampler
@@ -69,6 +69,11 @@ class RunConfig:
     friction: float = 2.0
     bins: int = 200
 
+    def __post_init__(self):
+        # replayed configs skip argparse, so the check lives here
+        if self.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {self.seed}")
+
     def to_json(self) -> str:
         return json.dumps({"command": self.command, "config": asdict(self)},
                           indent=2, sort_keys=True)
@@ -79,7 +84,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (a random one is drawn and recorded if absent)")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--n", type=int, default=20000)
     p.add_argument("--bins", type=int, default=200)
+    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("replay", help="re-run a command from its metadata file")
     p.add_argument("meta", help="path to a run.meta.json")
@@ -199,11 +204,10 @@ def cmd_verify(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
-    grid = default_histogram_grid(spec, bins=cfg.bins)
     result = convergence_sweep(
         spec, cfg.solver, cfg.axis, list(cfg.values), "kl_histogram",
         cfg.n, cfg.seed, T=cfg.T, delta=cfg.delta, fixed_N=cfg.N,
-        fixed_epsilon0=cfg.epsilon0, hist_grid=grid, threads=cfg.threads)
+        fixed_epsilon0=cfg.epsilon0, bins=cfg.bins, threads=cfg.threads)
     save_sweep_csv(result, out_dir / "sweep.csv")
     print(f"wrote {out_dir / 'sweep.csv'}; slope = {result.slope:.4f} "
           f"+- {result.slope_half_width:.4f}")

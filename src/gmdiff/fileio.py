@@ -1,5 +1,5 @@
-"""On-disk formats: mixture spec files (JSON), bound reports, grid and
-sweep CSVs. Floats round-trip exactly through repr."""
+"""On-disk formats: mixture spec files (JSON), bound reports and sweep
+CSVs. Floats round-trip exactly through repr."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from pathlib import Path
 from .bounds import BoundReport
 from .metrics import SweepResult
 from .mixture import GmmSpec, validate_spec
-from .schedules import TimeGrid
 
 
 def load_spec(path: str | Path) -> GmmSpec:
@@ -31,26 +30,15 @@ def save_bound_reports(reports: list[BoundReport], path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def save_grid_csv(grid: TimeGrid, path: str | Path) -> None:
-    lines = ["k,t_k,h_k"]
-    steps = grid.steps
-    lines.append(f"0,{repr(float(grid.points[0]))},")
-    for k in range(1, len(grid.points)):
-        lines.append(f"{k},{repr(float(grid.points[k]))},{repr(float(steps[k - 1]))}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def save_sweep_csv(result: SweepResult, path: str | Path,
-                   summary_path: str | Path | None = None) -> None:
+def save_sweep_csv(result: SweepResult, path: str | Path) -> None:
+    """Write the rows as CSV and the fitted slope to a .summary.json sidecar."""
     lines = ["axis_value,metric,value,stderr"]
     for row in result.rows:
         lines.append(f"{repr(row.axis_value)},{row.metric},"
                      f"{repr(row.value)},{repr(row.stderr)}")
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
-    if summary_path is None:
-        summary_path = path.with_suffix(".summary.json")
-    Path(summary_path).write_text(json.dumps({
+    path.with_suffix(".summary.json").write_text(json.dumps({
         "slope": result.slope,
         "slope_half_width": result.slope_half_width,
         "n_points": len(result.rows),

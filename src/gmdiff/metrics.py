@@ -94,14 +94,13 @@ class HistogramGrid:
         return float(np.prod((self.hi - self.lo) / self.bins))
 
 
-def default_histogram_grid(spec: GmmSpec, bins: int = 200,
-                           n_sigmas: float = 6.0) -> HistogramGrid:
-    """A grid covering every component mean plus n_sigmas marginal deviations."""
+def default_histogram_grid(spec: GmmSpec, bins: int = 200) -> HistogramGrid:
+    """A grid covering every component mean plus 6 marginal deviations."""
     if spec.dim > 3:
         raise DimensionTooHigh("histogram grids support at most 3 dimensions")
     sd = np.sqrt(np.diagonal(spec.covs, axis1=1, axis2=2))   # (k, d)
-    lo = (spec.means - n_sigmas * sd).min(axis=0)
-    hi = (spec.means + n_sigmas * sd).max(axis=0)
+    lo = (spec.means - 6.0 * sd).min(axis=0)
+    hi = (spec.means + 6.0 * sd).max(axis=0)
     return HistogramGrid(lo=lo, hi=hi, bins=np.full(spec.dim, bins))
 
 
@@ -367,15 +366,15 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
                       values: Sequence[float], metric: str, n: int, seed: int,
                       T: float = 8.0, delta: float = 0.0,
                       fixed_N: int = 8192, fixed_epsilon0: float = 0.0,
-                      hist_grid: HistogramGrid | None = None,
-                      threads: int = 1) -> SweepResult:
+                      bins: int = 200, threads: int = 1) -> SweepResult:
     """Run the sampler across a parameter axis and fit the log-log trend.
 
     axis "N" sweeps the uniform grid resolution (integers >= 1) at fixed
     score error; axis "epsilon0" sweeps the score perturbation (> 0) at fixed
     N. Every value is checked before any run. The metric is evaluated
     against the marginal at time delta (the target the sampler is actually
-    aiming for).
+    aiming for), on that marginal's default histogram grid with ``bins``
+    cells per axis.
     """
     if axis not in ("N", "epsilon0"):
         raise ValueError(f"axis must be 'N' or 'epsilon0', got {axis!r}")
@@ -391,7 +390,7 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
     if not np.all(ok & np.isfinite(vals)):
         raise ValueError(f"{axis} sweep values must be finite {rule}, got {list(values)}")
     reference = spec0 if delta == 0.0 else marginal_at(spec0, delta)
-    grid = hist_grid if hist_grid is not None else default_histogram_grid(reference)
+    grid = default_histogram_grid(reference, bins)
     children = np.random.SeedSequence(seed).spawn(len(values))
 
     def run_one(idx: int) -> SweepRow:

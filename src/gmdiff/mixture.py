@@ -41,15 +41,6 @@ _BLOCK = 8192
 
 
 @dataclass(frozen=True)
-class GaussianComponent:
-    """One mixture component: weight in (0,1), mean in R^d, SPD covariance."""
-
-    weight: float
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-@dataclass(frozen=True)
 class GmmSpec:
     """A validated k-component Gaussian mixture in dimension d.
 
@@ -106,12 +97,7 @@ def validate_spec(raw) -> GmmSpec:
         triples = [(c["weight"], c["mean"], c["cov"]) for c in comps]
         declared_dim = raw.get("dim")
     else:
-        triples = []
-        for item in raw:
-            if isinstance(item, GaussianComponent):
-                triples.append((item.weight, item.mean, item.cov))
-            else:
-                triples.append(tuple(item))
+        triples = [tuple(item) for item in raw]
         declared_dim = None
 
     if len(triples) == 0:

@@ -42,7 +42,7 @@ class SampleBatch:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def to_csv(self, path: str | Path, meta_path: str | Path | None = None) -> None:
+    def to_csv(self, path: str | Path) -> None:
         """Write points as CSV (header x0..x{d-1}) plus a JSON metadata sidecar.
 
         Floats are written with repr (shortest round-trip), so identical
@@ -56,12 +56,11 @@ class SampleBatch:
         cells = map(repr, self.points.ravel().tolist())
         rows = map(",".join, zip(*[cells] * d))
         path.write_text("\n".join([header, *rows]) + "\n")
-        if meta_path is None:
-            meta_path = path.with_suffix(".meta.json")
-        Path(meta_path).write_text(json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
+        meta = json.dumps(self.meta, indent=2, sort_keys=True)
+        path.with_suffix(".meta.json").write_text(meta + "\n")
 
     @classmethod
-    def from_csv(cls, path: str | Path, meta_path: str | Path | None = None) -> "SampleBatch":
+    def from_csv(cls, path: str | Path) -> "SampleBatch":
         """Read a CSV written by to_csv. Raises EmptyBatch when it holds no
         rows, ValueError when its rows differ in length and
         NonFiniteParameter when a cell is NaN or infinite."""
@@ -73,10 +72,6 @@ class SampleBatch:
             raise ValueError(f"{path}: rows differ in their number of fields")
         cells = ",".join(rows).split(",")
         pts = np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), -1)
-        meta = {}
-        if meta_path is None:
-            meta_path = path.with_suffix(".meta.json")
-        meta_path = Path(meta_path)
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
+        meta_path = path.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
         return cls(points=pts, meta=meta)

@@ -68,16 +68,16 @@ class FourierField:
     amp: np.ndarray      # (d, m)
 
     @classmethod
-    def create(cls, dim: int, seed: int, features: int = _FOURIER_FEATURES) -> "FourierField":
+    def create(cls, dim: int, seed: int) -> "FourierField":
         rng = np.random.default_rng(seed)
-        freq_x = rng.standard_normal((features, dim))
-        freq_t = rng.standard_normal(features)
-        phase = rng.uniform(0.0, 2.0 * np.pi, features)
+        freq_x = rng.standard_normal((_FOURIER_FEATURES, dim))
+        freq_t = rng.standard_normal(_FOURIER_FEATURES)
+        phase = rng.uniform(0.0, 2.0 * np.pi, _FOURIER_FEATURES)
         # random directions with equal per-feature energy: realized RMS then
         # concentrates tightly around 1 instead of fluctuating with the
         # handful of features a raw Gaussian amplitude matrix favors
-        amp = rng.standard_normal((dim, features))
-        amp /= np.linalg.norm(amp, axis=0, keepdims=True) * math.sqrt(features)
+        amp = rng.standard_normal((dim, _FOURIER_FEATURES))
+        amp /= np.linalg.norm(amp, axis=0, keepdims=True) * math.sqrt(_FOURIER_FEATURES)
         freq = np.column_stack([freq_x, freq_t, phase]).astype(np.float32)
         return cls(freq=freq, amp=amp.astype(np.float32))
 

@@ -192,6 +192,17 @@ class TestSampleCommand:
         assert rc == 0
         assert sha256(out1 / "samples.csv") == sha256(out2 / "samples.csv")
 
+    def test_recorded_threads_replay_byte_identical(self, spec_file, tmp_path):
+        """A run.meta.json that still carries a threads value replays."""
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["sample", "--spec", spec_file, "--out", str(out1), "--N", "32",
+                     "--n", "300", "--seed", "9"]) == 0
+        meta = json.loads((out1 / "run.meta.json").read_text())
+        meta["config"]["threads"] = 4
+        (tmp_path / "threads.json").write_text(json.dumps(meta))
+        assert main(["replay", str(tmp_path / "threads.json"), "--out", str(out2)]) == 0
+        assert sha256(out1 / "samples.csv") == sha256(out2 / "samples.csv")
+
     def test_predictor_corrector_solvers(self, spec_file, tmp_path):
         for solver in ("dpom", "dpum"):
             out = tmp_path / solver
@@ -304,6 +315,33 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError: boom")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["sample"], ["verify", "score"]])
+def test_negative_seed_exit_2_before_any_output(spec_file, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    rc = main(command + ["--spec", spec_file, "--out", str(out), "--seed", "-1"])
+    assert rc == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_in_replayed_config_exit_2(spec_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    meta = tmp_path / "run.meta.json"
+    meta.write_text(json.dumps({"command": "sample", "config": {
+        "command": "sample", "spec": spec_file, "out": str(out), "seed": -1}}))
+    assert main(["replay", str(meta)]) == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["sample"], ["verify", "score"]])
+def test_threads_is_a_sweep_flag_only(spec_file, tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--spec", spec_file, "--out", str(tmp_path / "o"),
+                        "--threads", "2"])
+    assert exc.value.code == 2
 
 
 class TestKeepFreedHeap:
@@ -443,3 +481,17 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
         assert main(args + ["--out", str(out2), "--threads", "4"]) == 0
         assert sha256(out1 / "sweep.csv") == sha256(out2 / "sweep.csv")
+
+    def test_delta_rows_match_the_library(self, spec_file, tmp_path):
+        """The CLI bins over the marginal at delta, as convergence_sweep does."""
+        out = tmp_path / "d"
+        assert main(["sweep", "N", "--spec", spec_file, "--out", str(out),
+                     "--values", "8", "16", "32", "64", "--T", "4", "--n", "1000",
+                     "--seed", "2", "--delta", "0.5"]) == 0
+        result = gmdiff.metrics.convergence_sweep(
+            standard_mixture_1d(), "ei", "N", [8.0, 16.0, 32.0, 64.0], "kl_histogram",
+            1000, 2, T=4.0, delta=0.5)
+        cli_rows = [tuple(line.split(",")) for line in
+                    (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert cli_rows == [(repr(r.axis_value), r.metric, repr(r.value), repr(r.stderr))
+                            for r in result.rows]

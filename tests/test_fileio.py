@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from gmdiff import sample, uniform_grid
+from gmdiff import sample
 from gmdiff.bounds import bound_report
 from gmdiff.errors import EmptyBatch, NonFiniteParameter
 from gmdiff.fileio import (
     load_spec,
     save_bound_reports,
-    save_grid_csv,
     save_spec,
     save_sweep_csv,
 )
@@ -96,17 +95,6 @@ def test_sample_batch_csv_rejects_non_finite_cell(tmp_path, cell):
     csv.write_text(f"x0,x1\n1.0,2.0\n3.0,{cell}\n")
     with pytest.raises(NonFiniteParameter):
         SampleBatch.from_csv(csv)
-
-
-def test_grid_csv_columns(tmp_path):
-    g = uniform_grid(1.0, 4)
-    path = tmp_path / "grid.csv"
-    save_grid_csv(g, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,t_k,h_k"
-    assert len(lines) == 6
-    k, t, h = lines[2].split(",")
-    assert (int(k), float(t), float(h)) == (1, 0.25, 0.25)
 
 
 def test_bound_report_json(tmp_path, anchor):
