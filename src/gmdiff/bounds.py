@@ -29,7 +29,7 @@ from .errors import (
     TooFewSamples,
 )
 from .forward import marginal_at, ou_coefficients
-from .mixture import _BLOCK, GmmSpec, _check_points, density, sample
+from .mixture import GmmSpec, _block_points, _check_points, density, sample
 from .samples import SampleBatch
 
 _BETA_GAMMA_CAP = 0.0999  # keeps beta, gamma strictly below the 0.1 range limit
@@ -92,12 +92,12 @@ class KlUpperBound(NamedTuple):
 
 
 def spectral_summary(spec: GmmSpec) -> SpectralSummary:
-    """Eigen-extrema, determinant minimum, and mean-norm maximum over components."""
-    eigs = np.linalg.eigvalsh(spec.covs)         # (k, d), ascending
+    """Eigen-extrema, determinant minimum, and mean-norm maximum over
+    components, read off the spec's cached eigenvalues."""
     log_det_min = spec.log_dets.min()
     return SpectralSummary(
-        sigma_min=float(eigs[:, 0].min()),
-        sigma_max=float(eigs[:, -1].max()),
+        sigma_min=float(spec.eigvals[:, 0].min()),
+        sigma_max=float(spec.eigvals[:, -1].max()),
         det_min=float(np.exp(log_det_min)),
         mu_max=float(max(np.sum(spec.means ** 2, axis=1))),
         log_det_min=float(log_det_min),
@@ -213,9 +213,10 @@ def _mean_distances(spec_t: GmmSpec, a_t: float, x) -> np.ndarray:
     pts, single = _check_points(spec_t, x)
     centers = (a_t * spec_t.means)[:, :, None]
     out = np.empty((spec_t.k, pts.shape[0]))
-    for lo in range(0, pts.shape[0], _BLOCK):
-        diff = np.ascontiguousarray(pts[lo:lo + _BLOCK].T) - centers
-        np.sqrt(np.add.reduce(diff * diff, axis=1), out=out[:, lo:lo + _BLOCK])
+    block = _block_points(spec_t)
+    for lo in range(0, pts.shape[0], block):
+        diff = np.ascontiguousarray(pts[lo:lo + block].T) - centers
+        np.sqrt(np.add.reduce(diff * diff, axis=1), out=out[:, lo:lo + block])
     return out[:, 0] if single else out
 
 

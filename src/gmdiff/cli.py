@@ -70,9 +70,11 @@ class RunConfig:
     bins: int = 200
 
     def __post_init__(self):
-        # replayed configs skip argparse, so the check lives here
-        if self.seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {self.seed}")
+        # replayed configs skip argparse, so the checks live here
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {self.seed!r}")
+        if type(self.threads) is not int or self.threads < 1:
+            raise ValueError(f"--threads must be an integer >= 1, got {self.threads!r}")
 
     def to_json(self) -> str:
         return json.dumps({"command": self.command, "config": asdict(self)},
@@ -216,7 +218,11 @@ def cmd_sweep(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
 
 def cmd_replay(meta_path: str, out_override: str | None) -> int:
     payload = json.loads(Path(meta_path).read_text())
-    cfg = RunConfig(**payload["config"])
+    try:
+        cfg = RunConfig(**payload["config"])
+    except TypeError as exc:
+        # an unknown or missing key, or a config that is not a mapping
+        raise ValueError(f"{meta_path}: invalid config: {exc}") from None
     if out_override is not None:
         cfg.out = out_override
     return _run(cfg)

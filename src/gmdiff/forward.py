@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeTime, ZeroScale
-from .mixture import GmmSpec, covariance_caches
+from .mixture import GmmSpec
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ def affine_push(spec: GmmSpec, a: float, b: float) -> GmmSpec:
     """Pushforward of the mixture under x -> a x + b z, z standard normal.
 
     Same weights; means scale by a; covariances become a^2 Sigma_i + b^2 I,
-    which stay symmetric positive definite for a != 0, so the caches are
-    rebuilt directly with batched factorizations (this sits on the sampler's
-    per-step path).
+    with the same eigenvectors and eigenvalues a^2 lam + b^2, so the caches
+    are read off the input's eigendecomposition without factorizing
+    anything (this sits on the sampler's per-step path).
     """
     if a == 0.0:
         raise ZeroScale("scale factor a must be nonzero")
@@ -53,12 +53,9 @@ def affine_push(spec: GmmSpec, a: float, b: float) -> GmmSpec:
         raise ValueError(f"noise scale b must be >= 0, got {b!r}")
     if a == 1.0 and b == 0.0:
         return spec
-    d = spec.dim
-    new_covs = (a * a) * spec.covs + (b * b) * np.eye(d)
-    chols, inv_covs, log_dets = covariance_caches(new_covs)
-    return GmmSpec(dim=d, weights=spec.weights, means=a * spec.means,
-                   covs=new_covs, chols=chols, inv_covs=inv_covs,
-                   log_dets=log_dets)
+    return GmmSpec.from_eigh(spec.weights, a * spec.means,
+                             (a * a) * spec.covs + (b * b) * np.eye(spec.dim),
+                             (a * a) * spec.eigvals + b * b, spec.eigvecs)
 
 
 def marginal_at(spec0: GmmSpec, t: float) -> GmmSpec:

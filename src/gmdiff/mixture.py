@@ -4,14 +4,14 @@ All per-component quantities are computed in log space and combined with
 log-sum-exp, so well-separated components (60 sigma and beyond) never
 underflow intermediate products. The one exception is the product-mesh
 density behind the histogram reference, which sums its terms in linear
-space (see _mesh_density). Covariances are factorized once by
-Cholesky at validation time; singular (PSD-but-rank-deficient) matrices
-are rejected rather than regularized.
+space (see _mesh_density). Covariances are Cholesky-checked and
+eigendecomposed once at validation time; singular (PSD-but-rank-deficient)
+matrices are rejected rather than regularized.
 
 Every pointwise operation accepts either a single point of shape (d,)
-or a batch of shape (n, d) and vectorizes over the batch in fixed blocks
-of at most 8192 points, so the memory it needs beyond its output does
-not grow with n.
+or a batch of shape (n, d) and vectorizes over the batch in blocks of
+2**16 // (k d) points, so the memory it needs beyond its output grows
+neither with n nor with d.
 """
 
 from __future__ import annotations
@@ -35,31 +35,53 @@ from .samples import SampleBatch
 _SYM_TOL = 1e-10
 _WEIGHT_TOL = 1e-10
 _CHOL_TOL = 1e-10
-# points per kernel call: the (k, d, block) temporaries stay a few MB
-# whatever the batch size
-_BLOCK = 8192
+# elements of each (k, d, block) kernel temporary: 512 KB whatever the
+# batch size and the dimension
+_BLOCK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
 class GmmSpec:
     """A validated k-component Gaussian mixture in dimension d.
 
-    Stacked parameter arrays plus cached Cholesky factors, precisions and
-    log-determinants. Construct through :func:`validate_spec`; the caches
-    are trusted everywhere downstream.
+    Stacked parameter arrays plus one cached eigendecomposition of the
+    covariances, Sigma_i = Q_i diag(lam_i) Q_i^T, and the precisions and
+    log-determinants read off it. Construct through :func:`validate_spec`
+    or :meth:`from_eigh`; the caches are trusted everywhere downstream.
     """
 
     dim: int
     weights: np.ndarray     # (k,)
     means: np.ndarray       # (k, d)
     covs: np.ndarray        # (k, d, d)
-    chols: np.ndarray       # (k, d, d), lower triangular
+    eigvals: np.ndarray     # (k, d), ascending, positive
+    eigvecs: np.ndarray     # (k, d, d), orthonormal columns
     inv_covs: np.ndarray    # (k, d, d)
     log_dets: np.ndarray    # (k,)
+
+    @classmethod
+    def from_eigh(cls, weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                  eigvals: np.ndarray, eigvecs: np.ndarray) -> "GmmSpec":
+        """The spec with covs = Q diag(lam) Q^T, built without factorizing:
+        precisions Q diag(1/lam) Q^T (symmetrized), log-dets sum log lam.
+        Raises NotPositiveDefinite unless every eigenvalue is positive."""
+        if not eigvals[:, 0].min() > 0.0:
+            raise NotPositiveDefinite(f"component {int(np.argmin(eigvals[:, 0]))}: "
+                                      "covariance has an eigenvalue that is not positive")
+        inv_covs = (eigvecs / eigvals[:, None, :]) @ np.swapaxes(eigvecs, 1, 2)
+        inv_covs = 0.5 * (inv_covs + np.swapaxes(inv_covs, 1, 2))
+        return cls(dim=means.shape[1], weights=weights, means=means, covs=covs,
+                   eigvals=eigvals, eigvecs=eigvecs, inv_covs=inv_covs,
+                   log_dets=np.log(eigvals).sum(axis=1))
 
     @property
     def k(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def chols(self) -> np.ndarray:
+        """Lower Cholesky factors, (k, d, d); only sampling reads them."""
+        return np.linalg.cholesky(self.covs)
 
     @cached_property
     def log_norms(self) -> np.ndarray:
@@ -135,7 +157,7 @@ def validate_spec(raw) -> GmmSpec:
             f"component {int(np.argmax(asym))}: covariance is not symmetric")
     covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
     try:
-        chols, inv_covs, log_dets = covariance_caches(covs)
+        chols = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         for i, c in enumerate(covs):
             try:
@@ -148,26 +170,7 @@ def validate_spec(raw) -> GmmSpec:
     if off.any():
         raise NotPositiveDefinite(f"component {int(np.argmax(off))}: "
                                   "Cholesky factor does not reproduce the covariance")
-
-    return GmmSpec(
-        dim=d,
-        weights=weights,
-        means=np.stack(means),
-        covs=covs,
-        chols=chols,
-        inv_covs=inv_covs,
-        log_dets=log_dets,
-    )
-
-
-def covariance_caches(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The caches of every GmmSpec, from a (k, d, d) stack of covariances:
-    Cholesky factors, symmetrized precisions and log-determinants."""
-    chols = np.linalg.cholesky(covs)
-    inv_covs = np.linalg.inv(covs)
-    inv_covs = 0.5 * (inv_covs + np.swapaxes(inv_covs, -1, -2))
-    log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    return chols, inv_covs, log_dets
+    return GmmSpec.from_eigh(weights, np.stack(means), covs, *np.linalg.eigh(covs))
 
 
 @dataclass(frozen=True)
@@ -189,20 +192,28 @@ def _check_points(spec: GmmSpec, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+def _block_points(spec: GmmSpec) -> int:
+    """Points per kernel call, so each (k, d, block) temporary holds at most
+    _BLOCK_ELEMENTS numbers (and at least one point)."""
+    return max(1, _BLOCK_ELEMENTS // (spec.k * spec.dim))
+
+
 def _blockwise(spec: GmmSpec, x, kernel, shape: tuple = ()) -> np.ndarray:
-    """Apply kernel(spec, pts) -> (m, *shape) to blocks of at most _BLOCK
-    points of x and gather the results in one (n, *shape) array; a single
-    point of shape (d,) gives the (*shape) result for that point."""
+    """Apply kernel(spec, pts) -> (m, *shape) to blocks of at most
+    _block_points(spec) points of x and gather the results in one
+    (n, *shape) array; a single point of shape (d,) gives the (*shape)
+    result for that point."""
     pts, single = _check_points(spec, x)
     n = pts.shape[0]
-    if n <= _BLOCK:
+    block = _block_points(spec)
+    if n <= block:
         # one block needs no gathering: copying the transposed kernel
         # result adds about 4% to a 1000-point score call
         out = kernel(spec, pts)
     else:
         out = np.empty((n, *shape))
-        for lo in range(0, n, _BLOCK):
-            out[lo:lo + _BLOCK] = kernel(spec, pts[lo:lo + _BLOCK])
+        for lo in range(0, n, block):
+            out[lo:lo + block] = kernel(spec, pts[lo:lo + block])
     return out[0] if single else out
 
 
@@ -223,15 +234,19 @@ def _posterior(spec: GmmSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pulls = spec.inv_covs * diff
     else:
         pulls = np.matmul(spec.inv_covs, diff)
-    logs = spec.log_norms[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, pulls)
+    logs = np.einsum("kdn,kdn->kn", diff, pulls)
+    logs *= -0.5
+    logs += spec.log_norms[:, None]
     return logs, pulls
 
 
 def _normalized(logs: np.ndarray) -> np.ndarray:
-    """Posterior weights f_i from the (k, n) log terms; exactly 1 when k = 1."""
-    w = np.exp(logs - logs.max(axis=0))
-    w /= w.sum(axis=0)
-    return w
+    """Posterior weights f_i from the (k, n) log terms, computed in place of
+    them; exactly 1 when k = 1."""
+    logs -= logs.max(axis=0)
+    np.exp(logs, out=logs)
+    logs /= logs.sum(axis=0)
+    return logs
 
 
 def _log_density_block(spec: GmmSpec, pts: np.ndarray) -> np.ndarray:

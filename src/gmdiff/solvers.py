@@ -198,7 +198,7 @@ class ScoreModel:
             spec_t = marginal_at(self.spec0, t)
         s = score(spec_t, x)
         if self.field is not None:
-            s = s + self.epsilon0 * self.field(np.atleast_2d(x), t).reshape(s.shape)
+            s += self.epsilon0 * self.field(np.atleast_2d(x), t).reshape(s.shape)
         s = np.ascontiguousarray(s)
         object.__setattr__(self, "_last", (t, spec_t, x_key, s))
         return s.copy()

@@ -336,6 +336,49 @@ def test_negative_seed_in_replayed_config_exit_2(spec_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def _replay_config(tmp_path, spec_file, **config):
+    """Replay a run.meta.json whose sample config holds config; return the
+    exit code and the output directory it names."""
+    out = tmp_path / "o"
+    meta = tmp_path / "run.meta.json"
+    meta.write_text(json.dumps({"command": "sample", "config": {
+        "command": "sample", "spec": spec_file, "out": str(out), "seed": 1,
+        "N": 4, "n": 10, **config}}))
+    return main(["replay", str(meta)]), out
+
+
+def test_unknown_key_in_replayed_config_exit_2(spec_file, tmp_path, capsys):
+    rc, out = _replay_config(tmp_path, spec_file, trace=1)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trace" in err
+    assert not out.exists()
+
+
+def test_fractional_seed_in_replayed_config_exit_2(spec_file, tmp_path, capsys):
+    rc, out = _replay_config(tmp_path, spec_file, seed=1.5)
+    assert rc == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_threads_below_one_exit_2(spec_file, tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    rc = main(["sweep", "N", "--spec", spec_file, "--out", str(out), "--values", "8", "16",
+               "--T", "4", "--n", "100", "--seed", "1", "--threads", threads])
+    assert rc == 2
+    assert "--threads must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threads_below_one_in_replayed_config_exit_2(spec_file, tmp_path, capsys):
+    rc, out = _replay_config(tmp_path, spec_file, threads=0)
+    assert rc == 2
+    assert "--threads must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["bounds"], ["sample"], ["verify", "score"]])
 def test_threads_is_a_sweep_flag_only(spec_file, tmp_path, command):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmdiff import affine_push, marginal_at, ou_coefficients, validate_spec
-from gmdiff.errors import NegativeTime, ZeroScale
+from gmdiff import (
+    affine_push,
+    lipschitz_suite,
+    marginal_at,
+    ou_coefficients,
+    score,
+    score_jacobian,
+    validate_spec,
+)
+from gmdiff.errors import NegativeTime, NotPositiveDefinite, ZeroScale
 from gmdiff.mixture import sample_array
 
 from conftest import make_random_spec
@@ -67,15 +76,39 @@ class TestAffinePush:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_precisions_equal_a_solve_against_the_identity(self, d, k):
-        # the precisions are bitwise those of a batched solve against I
+        # the caches come from the eigendecomposition: precisions
+        # Q diag(1/lam) Q^T are exactly symmetric, within 1e-12 of the
+        # largest entry of a batched solve against I and bitwise that solve
+        # at d = 1; log-dets sum log lam are within 1e-12 of slogdet
         for seed in range(4):
             spec = make_random_spec(d, k, seed=100 * d + 10 * k + seed)
-            for a, b in ((1.0, 0.3), (0.7, 0.6), (0.05, 0.99)):
+            for a, b in ((1.0, 0.0), (1.0, 0.3), (0.7, 0.6), (0.05, 0.99)):
                 pushed = affine_push(spec, a, b)
+                prec = pushed.inv_covs
+                np.testing.assert_array_equal(prec, np.swapaxes(prec, 1, 2))
                 eye = np.broadcast_to(np.eye(d), pushed.covs.shape).copy()
                 ref = np.linalg.solve(pushed.covs, eye)
-                ref = 0.5 * (ref + np.swapaxes(ref, -1, -2))
-                np.testing.assert_array_equal(pushed.inv_covs, ref)
+                if d == 1:
+                    np.testing.assert_array_equal(prec, ref)
+                scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+                assert np.all(np.abs(prec - ref) <= 1e-12 * scale)
+                sign, log_dets = np.linalg.slogdet(pushed.covs)
+                assert np.all(sign == 1.0)
+                np.testing.assert_allclose(pushed.log_dets, log_dets, rtol=0.0, atol=1e-12)
+
+    def test_eigenvalue_that_is_not_positive_rejected(self):
+        # Cholesky reproduces this covariance exactly, but eigh puts its
+        # smallest eigenvalue (about 1e-16) at or below 0
+        cov = np.ones((3, 3)) + np.diag([0.0, 2.0 ** -52, 2.0 ** -52])
+        assert np.linalg.eigh(cov)[0][0] <= 0.0
+        chol = np.linalg.cholesky(cov)
+        assert np.max(np.abs(chol @ chol.T - cov)) <= 1e-10
+        with pytest.raises(NotPositiveDefinite):
+            validate_spec([(1.0, np.zeros(3), cov)])
+        # a^2 lam underflows to 0 when nothing is added at b = 0
+        spec = validate_spec([(1.0, [0.0], [[1.0]])])
+        with pytest.raises(NotPositiveDefinite):
+            affine_push(spec, 1e-200, 0.0)
 
     @given(st.integers(0, 2 ** 31), st.floats(0.1, 2.0), st.floats(0.0, 2.0),
            st.floats(0.1, 2.0), st.floats(0.0, 2.0))
@@ -88,6 +121,26 @@ class TestAffinePush:
         single = affine_push(spec, a1 * a2, math.sqrt(a2 ** 2 * b1 ** 2 + b2 ** 2))
         np.testing.assert_allclose(double.means, single.means, atol=1e-12)
         np.testing.assert_allclose(double.covs, single.covs, atol=1e-12)
+
+
+def _factorized(spec):
+    """spec with its precisions and log-determinants rebuilt by Cholesky and
+    inv, the factorization the eigendecomposition replaced."""
+    chols = np.linalg.cholesky(spec.covs)
+    inv_covs = np.linalg.inv(spec.covs)
+    inv_covs = 0.5 * (inv_covs + np.swapaxes(inv_covs, -1, -2))
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    return dataclasses.replace(spec, inv_covs=inv_covs, log_dets=log_dets)
+
+
+_SPECTRAL_SPECS = [(f"lipschitz{i}", s) for i, s in enumerate(lipschitz_suite())] + [
+    ("separated-60-sigma",
+     validate_spec([(0.5, [0.0], [[1.0]]), (0.5, [60.0], [[1.0]])])),
+    ("separated-60-sigma-2d",
+     validate_spec([(0.3, [0.0, 0.0], np.eye(2)),
+                    (0.7, [60.0, -2.0], [[1.0, 0.3], [0.3, 2.0]])])),
+    ("d3-k3", make_random_spec(3, 3, seed=8)),
+]
 
 
 class TestMarginalAt:
@@ -123,6 +176,22 @@ class TestMarginalAt:
         for cov0, cov_t in zip(spec.covs, m.covs):
             expected = np.sort(c.a ** 2 * np.linalg.eigvalsh(cov0) + c.b ** 2)
             np.testing.assert_allclose(np.linalg.eigvalsh(cov_t), expected, atol=1e-10)
+
+    @pytest.mark.parametrize("spec", [s for _, s in _SPECTRAL_SPECS],
+                             ids=[name for name, _ in _SPECTRAL_SPECS])
+    def test_score_and_jacobian_match_the_factorization(self, spec):
+        # within 1e-12 of the largest entry over the batch: single entries
+        # that cancel toward zero differ by more relative to themselves
+        rng = np.random.default_rng(spec.k * 100 + spec.dim)
+        for t in (0.0, 0.05, 0.5, 2.0, 8.0):
+            spec_t = marginal_at(spec, t)
+            ref_spec = _factorized(spec_t)
+            lo, hi = spec_t.means.min() - 4.0, spec_t.means.max() + 4.0
+            pts = np.vstack([sample_array(spec_t, 1000, rng),
+                             rng.uniform(lo, hi, size=(1000, spec.dim))])
+            for fn in (score, score_jacobian):
+                got, ref = fn(spec_t, pts), fn(ref_spec, pts)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (fn.__name__, t)
 
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 8.0), st.floats(0.0, 8.0))
     @settings(max_examples=40, deadline=None)

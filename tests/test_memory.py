@@ -1,6 +1,7 @@
 """Working-set bounds: the pointwise mixture functions and the histogram
 reference quadrature evaluate fixed-size blocks, so the memory they take
-beyond their output does not grow with the number of points.
+beyond their output grows neither with the number of points nor, for the
+mixture functions, with the dimension.
 
 Peaks are the tracemalloc high-water mark of allocations made during the
 call (numpy reports its array buffers to tracemalloc); the input points are
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gmdiff import lipschitz_suite
+from gmdiff import lipschitz_suite, random_spec
 from gmdiff.metrics import default_histogram_grid, reference_cell_masses
 from gmdiff.mixture import density, score, score_jacobian
 
@@ -43,6 +44,16 @@ def test_pointwise_peak_is_output_plus_bounded_blocks(spec_d2_k5, fn):
     pts = np.random.default_rng(3).normal(scale=3.0, size=(200000, 2))
     out, peak = traced_peak(fn, spec_d2_k5, pts)
     assert out.shape[0] == 200000
+    assert peak < out.nbytes + 8 * MB, f"peak {peak / MB:.1f} MB, output {out.nbytes / MB:.1f} MB"
+
+
+def test_score_peak_at_high_dimension():
+    # blocks of 2**16 // (k d) points: 32 points here, where 8192-point
+    # blocks made (k, d, block) temporaries of 131 MB each
+    spec = random_spec(400, 5, np.random.default_rng(400))
+    pts = np.random.default_rng(3).normal(size=(8192, 400))
+    out, peak = traced_peak(score, spec, pts)
+    assert out.shape == (8192, 400)
     assert peak < out.nbytes + 8 * MB, f"peak {peak / MB:.1f} MB, output {out.nbytes / MB:.1f} MB"
 
 

@@ -331,7 +331,6 @@ class TestPosteriorKernel:
         assert log_density(std1d, [1e200]) == -math.inf
 
 
-_B = mixture._BLOCK
 # each public function against its block kernel, with the kernel's result
 # shape; the kernel run once over all points is the unblocked reference
 _BLOCKED = [
@@ -347,29 +346,31 @@ _BLOCKED = [
 
 
 class TestBlocks:
-    """The pointwise functions run their kernel over blocks of _BLOCK points;
-    around the block edges they agree with one kernel call over the whole
-    batch. A tail block can take another SIMD path, so rounding-level
-    differences are allowed: 1e-12 relative, with an absolute floor of
-    1e-12 times the largest entry for entries that cancel toward zero."""
+    """The pointwise functions run their kernel over blocks of
+    _block_points(spec) = 2**16 // (k d) points; around the block edges
+    they agree with one kernel call over the whole batch. A tail block can
+    take another SIMD path, so rounding-level differences are allowed:
+    1e-12 relative, with an absolute floor of 1e-12 times the largest
+    entry for entries that cancel toward zero."""
 
     @pytest.mark.parametrize("spec", [s for _, s in _KERNEL_SPECS],
                              ids=[name for name, _ in _KERNEL_SPECS])
     def test_block_edges_match_one_kernel_call(self, spec):
+        b = mixture._block_points(spec)
         rng = np.random.default_rng(spec.k * 100 + spec.dim)
         lo, hi = spec.means.min() - 4.0, spec.means.max() + 4.0
-        pts = rng.uniform(lo, hi, size=(3 * _B + 1, spec.dim))
+        pts = rng.uniform(lo, hi, size=(3 * b + 1, spec.dim))
         for name, public, kernel in _BLOCKED:
             whole = kernel(spec, pts)
             floor = 1e-12 * np.abs(whole).max()
-            for n in (_B - 1, _B, _B + 1, 3 * _B + 1):
+            for n in (b - 1, b, b + 1, 3 * b + 1):
                 got = public(spec, pts[:n])
                 assert got.shape == whole[:n].shape, name
                 np.testing.assert_allclose(got, whole[:n], rtol=1e-12, atol=floor,
                                            err_msg=f"{name}, n = {n}")
-            single = public(spec, pts[_B])
+            single = public(spec, pts[b])
             assert np.shape(single) == whole.shape[1:], name
-            np.testing.assert_allclose(single, whole[_B], rtol=1e-12, atol=floor,
+            np.testing.assert_allclose(single, whole[b], rtol=1e-12, atol=floor,
                                        err_msg=f"{name}, single point")
 
     def test_empty_batch_gives_empty_results(self, std2d):
