@@ -23,13 +23,14 @@ def main() -> None:
     args = ap.parse_args()
 
     spec = load_spec(args.spec)
-    header = f"{'t':>6} {'log_L':>10} {'sigma_min':>10} {'sigma_max':>10} {'R':>8} {'gamma':>10}"
+    header = (f"{'t':>6} {'log_L':>10} {'sigma_min':>10} {'sigma_max':>10} {'R':>8} "
+              f"{'log_gamma':>10}")
     print(header)
     print("-" * len(header))
     for t in args.times:
         rep = bound_report(spec, t, seed=args.seed)
         print(f"{t:6.2f} {rep.log_L:10.4f} {rep.summary.sigma_min:10.5f} "
-              f"{rep.summary.sigma_max:10.5f} {rep.params.R:8.3f} {rep.params.gamma:10.6f}")
+              f"{rep.summary.sigma_max:10.5f} {rep.params.R:8.3f} {rep.params.log_gamma:10.4f}")
     rep0 = bound_report(spec, 0.0, seed=args.seed)
     print(f"\nm2 = {rep0.m2:.6f}, M2 = {rep0.M2:.6f}, "
           f"KL-to-prior upper bound = {rep0.kl_upper:.6f}")

@@ -30,8 +30,8 @@ def main() -> None:
     args = ap.parse_args()
 
     spec = load_spec(args.spec)
-    result = convergence_sweep(spec, "ei", "N", args.values, "kl_histogram",
-                               args.n, args.seed, T=args.T, threads=args.threads)
+    result = convergence_sweep(spec, "ei", "N", args.values, args.n, args.seed,
+                               T=args.T, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_sweep_csv(result, out / "sweep.csv")

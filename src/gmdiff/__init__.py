@@ -11,7 +11,6 @@ from .bounds import (
     kl_gaussian_exact,
     kl_to_standard_upper,
     lipschitz_constant,
-    region_check,
     second_moment,
     spectral_summary,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "jacobian_spectral_probe", "kl_gaussian_exact", "kl_histogram", "kl_mc",
     "kl_to_standard_upper", "lipschitz_constant", "lipschitz_suite",
     "log_density", "make_score_model", "marginal_at", "moment_diagnostics",
-    "ou_coefficients", "random_spec", "region_check", "responsibilities",
+    "ou_coefficients", "random_spec", "responsibilities",
     "run_predictor_corrector", "run_sampler", "sample", "score",
     "score_jacobian", "second_moment", "spectral_summary",
     "standard_mixture_1d", "standard_normal_spec", "step_ei", "step_em",

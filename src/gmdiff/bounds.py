@@ -1,5 +1,5 @@
 """Smoothness quantities of a mixture: score Lipschitz constant, second
-moment, exact and upper-bound KL divergences, and condition-region checks.
+moment, exact and upper-bound KL divergences, and the condition region.
 
 The Lipschitz constant is the closed form
 
@@ -8,7 +8,8 @@ The Lipschitz constant is the closed form
 
 with s_min/s_max the eigenvalue extremes over component covariances, D the
 smallest component determinant, and (R, b, g) the region parameters. The
-(2 pi)^{-d} factor underflows in double precision near d ~ 250, so the
+(2 pi)^{-d} factor underflows in double precision near d ~ 250, and so does
+the density floor g near d ~ 500, so the floor is kept as log g, the
 second term is assembled in log space and L is reported together with its
 natural log.
 """
@@ -29,7 +30,7 @@ from .errors import (
     TooFewSamples,
 )
 from .forward import marginal_at, ou_coefficients
-from .mixture import GmmSpec, _block_points, _check_points, density, sample
+from .mixture import GmmSpec, _block_points, _check_points, log_density, sample
 from .samples import SampleBatch
 
 _BETA_GAMMA_CAP = 0.0999  # keeps beta, gamma strictly below the 0.1 range limit
@@ -39,19 +40,21 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 @dataclass(frozen=True)
 class ConditionParams:
     """Region parameters: radius band [beta, R] around every scaled mean plus
-    a density floor gamma. Ranges: R >= 1, 0 < beta < 0.1, 0 < gamma < 0.1."""
+    the log of a density floor gamma, which underflows in linear space at
+    high d. Ranges: R >= 1, 0 < beta < 0.1, 0 < gamma < 0.1."""
 
     R: float
     beta: float
-    gamma: float
+    log_gamma: float
 
     def __post_init__(self):
         if not (self.R >= 1.0):
             raise ParamsOutOfRange(f"R must be >= 1, got {self.R!r}")
         if not (0.0 < self.beta < 0.1):
             raise ParamsOutOfRange(f"beta must be in (0, 0.1), got {self.beta!r}")
-        if not (0.0 < self.gamma < 0.1):
-            raise ParamsOutOfRange(f"gamma must be in (0, 0.1), got {self.gamma!r}")
+        if not (-math.inf < self.log_gamma < math.log(0.1)):
+            raise ParamsOutOfRange(
+                f"log_gamma must be in (-inf, log 0.1), got {self.log_gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ def lipschitz_constant(summary: SpectralSummary, params: ConditionParams,
     term_half = -0.5 * d * log2pi - 0.5 * log_det_min
     log_pair = np.logaddexp(term_full, term_half)
     log_second = (math.log(2.0) + 2.0 * math.log(params.R)
-                  - 2.0 * math.log(params.gamma) - 2.0 * math.log(s_min)
+                  - 2.0 * params.log_gamma - 2.0 * math.log(s_min)
                   + log_pair - params.beta ** 2 / (2.0 * s_max))
     log_first = -math.log(s_min)
     log_value = float(np.logaddexp(log_first, log_second))
@@ -191,18 +194,6 @@ def kl_to_standard_upper(spec: GmmSpec) -> KlUpperBound:
     return KlUpperBound(bound=float(bound), convexity_bound=convexity)
 
 
-@dataclass(frozen=True)
-class RegionCheck:
-    """Outcome of a condition-region membership test.
-
-    ``failures`` lists (clause, component_index) pairs; component_index is
-    None for the density clause.
-    """
-
-    ok: bool
-    failures: tuple = ()
-
-
 def _mean_distances(spec_t: GmmSpec, a_t: float, x) -> np.ndarray:
     """|x - a_t mu_i| per component and point: (k, n), or (k,) for one point.
 
@@ -220,40 +211,25 @@ def _mean_distances(spec_t: GmmSpec, a_t: float, x) -> np.ndarray:
     return out[:, 0] if single else out
 
 
-def region_check(spec_t: GmmSpec, a_t: float, x, params: ConditionParams) -> RegionCheck:
-    """True iff beta <= |x - a_t mu_i| <= R for every component i and
-    density(x) >= gamma. On failure, reports which clause broke and where."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (spec_t.dim,):
-        raise DimensionMismatch(f"point has shape {x.shape}, expected ({spec_t.dim},)")
-    failures = []
-    for i, r in enumerate(_mean_distances(spec_t, a_t, x)):
-        if r < params.beta:
-            failures.append(("below_beta", i))
-        elif r > params.R:
-            failures.append(("above_R", i))
-    if density(spec_t, x) < params.gamma:
-        failures.append(("density_below_gamma", None))
-    return RegionCheck(ok=not failures, failures=tuple(failures))
-
-
 def region_mask(spec_t: GmmSpec, a_t: float, points: np.ndarray,
                 params: ConditionParams) -> np.ndarray:
-    """Vectorized region membership for an (n, d) array of points."""
+    """Region membership of each point of an (n, d) array (or of one point):
+    beta <= |x - a_t mu_i| <= R for every component i and
+    log p(x) >= log gamma. A NaN point fails every clause."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dists = _mean_distances(spec_t, a_t, pts)
     ok = (dists >= params.beta).all(axis=0) & (dists <= params.R).all(axis=0)
-    ok &= density(spec_t, pts) >= params.gamma
+    ok &= log_density(spec_t, pts) >= params.log_gamma
     return ok
 
 
 def calibrate_region(spec_t: GmmSpec, a_t: float, samples: SampleBatch) -> ConditionParams:
-    """Pick (R, beta, gamma) from sample percentiles so that the bulk of the
-    mass satisfies the region clauses:
+    """Pick (R, beta, log gamma) from sample percentiles so that the bulk
+    of the mass satisfies the region clauses:
 
-    R     = 99th percentile of max_i |x - a_t mu_i|, clamped >= 1;
-    beta  = 1st percentile of min_i |x - a_t mu_i|, capped below 0.1;
-    gamma = 1st percentile of the density, capped below 0.1.
+    R         = 99th percentile of max_i |x - a_t mu_i|, clamped >= 1;
+    beta      = 1st percentile of min_i |x - a_t mu_i|, capped below 0.1;
+    log gamma = 1st percentile of the log density, capped below log 0.1.
     """
     pts = samples.points
     if pts.shape[0] < 1000:
@@ -263,10 +239,9 @@ def calibrate_region(spec_t: GmmSpec, a_t: float, samples: SampleBatch) -> Condi
     beta = min(float(np.percentile(dists.min(axis=0), 1.0)), _BETA_GAMMA_CAP)
     if beta <= 0.0:
         beta = 1e-6
-    gamma = min(float(np.percentile(density(spec_t, pts), 1.0)), _BETA_GAMMA_CAP)
-    if gamma <= 0.0:
-        gamma = 1e-300
-    return ConditionParams(R=R, beta=beta, gamma=gamma)
+    log_gamma = min(float(np.percentile(log_density(spec_t, pts), 1.0)),
+                    math.log(_BETA_GAMMA_CAP))
+    return ConditionParams(R=R, beta=beta, log_gamma=log_gamma)
 
 
 @dataclass(frozen=True)
@@ -297,13 +272,14 @@ class BoundReport:
             "mu_max": self.summary.mu_max,
             "R": self.params.R,
             "beta": self.params.beta,
-            "gamma": self.params.gamma,
+            "gamma": math.exp(self.params.log_gamma),    # 0.0 once it underflows
+            "log_gamma": self.params.log_gamma,
         }
 
 
 def bound_report(spec0: GmmSpec, t: float, calibration_samples: int = 20000,
                  seed: int = 0) -> BoundReport:
-    """Assemble the full report at time t, calibrating (R, beta, gamma) from
+    """Assemble the full report at time t, calibrating (R, beta, log gamma) from
     fresh forward samples."""
     spec_t = marginal_at(spec0, t)
     a_t = ou_coefficients(t).a

@@ -207,9 +207,9 @@ def cmd_verify(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
 
 def cmd_sweep(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     result = convergence_sweep(
-        spec, cfg.solver, cfg.axis, list(cfg.values), "kl_histogram",
-        cfg.n, cfg.seed, T=cfg.T, delta=cfg.delta, fixed_N=cfg.N,
-        fixed_epsilon0=cfg.epsilon0, bins=cfg.bins, threads=cfg.threads)
+        spec, cfg.solver, cfg.axis, list(cfg.values), cfg.n, cfg.seed, T=cfg.T,
+        delta=cfg.delta, fixed_N=cfg.N, fixed_epsilon0=cfg.epsilon0, bins=cfg.bins,
+        threads=cfg.threads)
     save_sweep_csv(result, out_dir / "sweep.csv")
     print(f"wrote {out_dir / 'sweep.csv'}; slope = {result.slope:.4f} "
           f"+- {result.slope_half_width:.4f}")

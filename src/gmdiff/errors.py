@@ -31,6 +31,10 @@ class NonFiniteParameter(GmdiffError):
     pass
 
 
+class MalformedSpec(GmdiffError):
+    """A spec, or a field of one, that is not numbers in the expected shape."""
+
+
 # --- forward process ---
 
 class NegativeTime(GmdiffError):

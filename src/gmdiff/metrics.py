@@ -49,7 +49,7 @@ _MIDPOINTS_PER_AXIS = 4
 _MESH_SLAB = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistogramGrid:
     """Axis-aligned binning of a box in dimension d <= 3."""
 
@@ -241,7 +241,7 @@ def kl_mc(p: GmmSpec, q: GmmSpec, n: int, seed: int) -> Estimate:
                     stderr=float(vals.std(ddof=1) / math.sqrt(n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentDiagnostics:
     """Empirical first/second moments with z-scores against the reference."""
 
@@ -363,7 +363,7 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, f
 
 
 def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
-                      values: Sequence[float], metric: str, n: int, seed: int,
+                      values: Sequence[float], n: int, seed: int,
                       T: float = 8.0, delta: float = 0.0,
                       fixed_N: int = 8192, fixed_epsilon0: float = 0.0,
                       bins: int = 200, threads: int = 1) -> SweepResult:
@@ -371,15 +371,13 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
 
     axis "N" sweeps the uniform grid resolution (integers >= 1) at fixed
     score error; axis "epsilon0" sweeps the score perturbation (> 0) at fixed
-    N. Every value is checked before any run. The metric is evaluated
+    N. Every value is checked before any run. The histogram KL is taken
     against the marginal at time delta (the target the sampler is actually
     aiming for), on that marginal's default histogram grid with ``bins``
     cells per axis.
     """
     if axis not in ("N", "epsilon0"):
         raise ValueError(f"axis must be 'N' or 'epsilon0', got {axis!r}")
-    if metric not in ("kl_histogram", "tv_histogram"):
-        raise ValueError(f"metric must be 'kl_histogram' or 'tv_histogram', got {metric!r}")
     if len(values) < 4:
         raise ValueError("sweep needs at least 4 values")
     vals = np.asarray(values, dtype=float)
@@ -404,11 +402,8 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
             model = make_score_model(spec0, "perturbed", float(value), seed=seed)
             tgrid = uniform_grid(T, fixed_N, delta)
         batch = run_sampler(model, tgrid, scheme, n, run_seed)
-        if metric == "kl_histogram":
-            res = kl_histogram(batch, reference, grid)
-            return SweepRow(float(value), metric, res.value, res.stderr)
-        tv = tv_histogram(batch, reference, grid)
-        return SweepRow(float(value), metric, tv, 0.0)
+        res = kl_histogram(batch, reference, grid)
+        return SweepRow(float(value), "kl_histogram", res.value, res.stderr)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -16,6 +16,7 @@ neither with n nor with d.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyMixture,
+    MalformedSpec,
     NonFiniteParameter,
     NonSymmetricCovariance,
     NotPositiveDefinite,
@@ -34,13 +36,12 @@ from .samples import SampleBatch
 
 _SYM_TOL = 1e-10
 _WEIGHT_TOL = 1e-10
-_CHOL_TOL = 1e-10
 # elements of each (k, d, block) kernel temporary: 512 KB whatever the
 # batch size and the dimension
 _BLOCK_ELEMENTS = 2 ** 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmSpec:
     """A validated k-component Gaussian mixture in dimension d.
 
@@ -108,35 +109,36 @@ def validate_spec(raw) -> GmmSpec:
     on-disk format, each component ``{weight, mean, cov}``) or an iterable
     of ``(weight, mean, cov)`` triples with the dimension inferred.
 
-    Raises EmptyMixture, NonFiniteParameter, DimensionMismatch,
-    NonSymmetricCovariance, NotPositiveDefinite or WeightsDoNotSumToOne on
-    bad input.
+    Raises MalformedSpec, EmptyMixture, NonFiniteParameter,
+    DimensionMismatch, NonSymmetricCovariance, NotPositiveDefinite or
+    WeightsDoNotSumToOne on bad input.
     """
     if isinstance(raw, GmmSpec):
         return raw
-    if isinstance(raw, Mapping):
-        comps = raw.get("components", [])
-        triples = [(c["weight"], c["mean"], c["cov"]) for c in comps]
-        declared_dim = raw.get("dim")
-    else:
-        triples = [tuple(item) for item in raw]
-        declared_dim = None
+    declared_dim = raw.get("dim") if isinstance(raw, Mapping) else None
+    try:
+        triples = ([(c["weight"], c["mean"], c["cov"]) for c in raw.get("components", [])]
+                   if isinstance(raw, Mapping) else [tuple(item) for item in raw])
+    except TypeError:
+        raise MalformedSpec('a spec is {"dim": d, "components": [{"weight", "mean", '
+                            '"cov"}, ...]} or a list of (weight, mean, cov) triples') from None
 
     if len(triples) == 0:
         raise EmptyMixture("mixture must have at least one component")
 
-    weights = np.array([float(w) for w, _, _ in triples])
-    means = [np.atleast_1d(np.asarray(m, dtype=float)) for _, m, _ in triples]
-    covs = [np.atleast_2d(np.asarray(c, dtype=float)) for _, _, c in triples]
-
-    for i, arr in enumerate(zip(weights, means, covs)):
-        if not all(np.all(np.isfinite(a)) for a in arr):
-            raise NonFiniteParameter(f"component {i}: weight, mean and cov must be finite")
+    weights, means, covs = [], [], []
+    for i, (w, m, c) in enumerate(triples):
+        weights.append(_spec_field(i, "weight", w))
+        if weights[-1].ndim != 0:
+            raise MalformedSpec(f"component {i}: weight must be a number, got {reprlib.repr(w)}")
+        means.append(np.atleast_1d(_spec_field(i, "mean", m)))
+        covs.append(np.atleast_2d(_spec_field(i, "cov", c)))
+    weights = np.array(weights)
 
     d = means[0].shape[0]
-    if declared_dim is not None and int(declared_dim) != d:
+    if declared_dim not in (None, d):
         raise DimensionMismatch(
-            f"declared dim {declared_dim} but component 0 mean has length {d}")
+            f"declared dim {declared_dim!r} but component 0 mean has length {d}")
     for i, (m, c) in enumerate(zip(means, covs)):
         if m.shape != (d,):
             raise DimensionMismatch(f"component {i}: mean has shape {m.shape}, expected ({d},)")
@@ -157,7 +159,7 @@ def validate_spec(raw) -> GmmSpec:
             f"component {int(np.argmax(asym))}: covariance is not symmetric")
     covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
     try:
-        chols = np.linalg.cholesky(covs)
+        np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         for i, c in enumerate(covs):
             try:
@@ -166,14 +168,23 @@ def validate_spec(raw) -> GmmSpec:
                 raise NotPositiveDefinite(
                     f"component {i}: covariance is not positive definite") from None
         raise
-    off = np.max(np.abs(chols @ np.swapaxes(chols, 1, 2) - covs), axis=(1, 2)) > _CHOL_TOL
-    if off.any():
-        raise NotPositiveDefinite(f"component {int(np.argmax(off))}: "
-                                  "Cholesky factor does not reproduce the covariance")
     return GmmSpec.from_eigh(weights, np.stack(means), covs, *np.linalg.eigh(covs))
 
 
-@dataclass(frozen=True)
+def _spec_field(i: int, name: str, value) -> np.ndarray:
+    """Field `name` of component i as a finite float array; raises
+    MalformedSpec or NonFiniteParameter naming the component and field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedSpec(f"component {i}: {name} must be a number or nested lists "
+                            f"of numbers, got {reprlib.repr(value)}") from None
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteParameter(f"component {i}: {name} must be finite")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Responsibilities:
     """Per-component posterior weights at a point; each in [0,1], summing to 1."""
 

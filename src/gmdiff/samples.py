@@ -12,7 +12,7 @@ import numpy as np
 from .errors import EmptyBatch, NonFiniteParameter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """n points in R^d plus the seed / solver / grid that produced them.
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DeltaExceedsHorizon, InvalidHorizon, StepBudgetViolated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Discretization delta = t_0 < ... < t_N = T with steps h_k."""
 

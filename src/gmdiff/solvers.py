@@ -42,7 +42,7 @@ _LATTICE_TOL = 1e-7
 _FREED_BLOCK = (4 << 20) - 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierField:
     """Seed-determined smooth vector field with unit root-mean-square norm.
 
@@ -158,7 +158,7 @@ class FourierField:
         return FourierField(freq=self.freq, amp=self.amp * np.float32(factor))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreModel:
     """Evaluates s_t(x) for the forward marginal of spec0 at time t.
 
@@ -180,7 +180,7 @@ class ScoreModel:
     spec0: GmmSpec
     epsilon0: float
     field: FourierField | None
-    _last: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+    _last: tuple | None = dataclass_field(default=None, init=False, repr=False)
 
     @property
     def kind(self) -> str:

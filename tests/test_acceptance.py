@@ -172,7 +172,7 @@ def test_c07_discretization_rate_slope():
     T = 8, N from 64 to 4096)."""
     result = convergence_sweep(
         ANCHOR, "ei", "N", [64, 128, 256, 512, 1024, 2048, 4096],
-        "kl_histogram", n=60000, seed=20250807, T=8.0)
+        n=60000, seed=20250807, T=8.0)
     assert result.slope == pytest.approx(-1.0, abs=0.35), result.rows
 
 

@@ -13,7 +13,6 @@ from gmdiff import (
     kl_to_standard_upper,
     lipschitz_constant,
     marginal_at,
-    region_check,
     sample,
     second_moment,
     spectral_summary,
@@ -27,7 +26,7 @@ from gmdiff.errors import (
     ParamsOutOfRange,
     TooFewSamples,
 )
-from gmdiff.mixture import density, log_density, sample_array
+from gmdiff.mixture import log_density, sample_array
 from gmdiff.samples import SampleBatch
 
 from conftest import make_random_spec
@@ -35,13 +34,16 @@ from conftest import make_random_spec
 
 class TestConditionParams:
     def test_accepts_valid_ranges(self):
-        ConditionParams(R=2.0, beta=0.05, gamma=0.01)
+        ConditionParams(R=2.0, beta=0.05, log_gamma=math.log(0.01))
+        ConditionParams(R=2.0, beta=0.05, log_gamma=-1e4)     # gamma = 0.0 in doubles
 
     @pytest.mark.parametrize("kwargs", [
-        dict(R=0.5, beta=0.05, gamma=0.05),
-        dict(R=1.0, beta=0.2, gamma=0.05),
-        dict(R=1.0, beta=0.0, gamma=0.05),
-        dict(R=1.0, beta=0.05, gamma=0.1),
+        dict(R=0.5, beta=0.05, log_gamma=math.log(0.05)),
+        dict(R=1.0, beta=0.2, log_gamma=math.log(0.05)),
+        dict(R=1.0, beta=0.0, log_gamma=math.log(0.05)),
+        dict(R=1.0, beta=0.05, log_gamma=math.log(0.1)),
+        dict(R=1.0, beta=0.05, log_gamma=-math.inf),
+        dict(R=1.0, beta=0.05, log_gamma=math.nan),
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ParamsOutOfRange):
@@ -94,19 +96,19 @@ class TestLipschitzConstant:
         # 1e-12 inside it (the formula is Lipschitz in beta and gamma there,
         # shifting L by under 1e-8)
         summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, det_min=1.0, mu_max=0.0)
-        params = ConditionParams(R=1.0, beta=0.1 - 1e-12, gamma=0.1 - 1e-12)
+        params = ConditionParams(R=1.0, beta=0.1 - 1e-12, log_gamma=math.log(0.1 - 1e-12))
         L = lipschitz_constant(summ, params, 1)
         assert L.value == pytest.approx(112.06274039572976, rel=1e-9)
         assert L.log_value == pytest.approx(math.log(L.value), rel=1e-12)
 
     def test_strictly_above_inverse_sigma_min(self):
         summ = SpectralSummary(sigma_min=0.5, sigma_max=2.0, det_min=0.7, mu_max=1.0)
-        params = ConditionParams(R=3.0, beta=0.05, gamma=0.02)
+        params = ConditionParams(R=3.0, beta=0.05, log_gamma=math.log(0.02))
         assert lipschitz_constant(summ, params, 2).value > 1.0 / 0.5
 
     def test_decreases_toward_inverse_sigma_min_in_dimension(self):
         summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, det_min=1.0, mu_max=0.0)
-        params = ConditionParams(R=1.0, beta=0.05, gamma=0.05)
+        params = ConditionParams(R=1.0, beta=0.05, log_gamma=math.log(0.05))
         values = [lipschitz_constant(summ, params, d).value for d in (1, 5, 20, 100)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, rel=1e-8)
@@ -114,7 +116,7 @@ class TestLipschitzConstant:
     def test_log_space_survives_large_dimension(self):
         # (2 pi)^{-d} underflows around d ~ 250; log_value must stay exact
         summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, det_min=1.0, mu_max=0.0)
-        params = ConditionParams(R=1.0, beta=0.05, gamma=0.05)
+        params = ConditionParams(R=1.0, beta=0.05, log_gamma=math.log(0.05))
         L = lipschitz_constant(summ, params, 600)
         assert math.isfinite(L.log_value)
         assert L.value == pytest.approx(1.0)
@@ -123,7 +125,7 @@ class TestLipschitzConstant:
     def test_overflowing_value_is_inf_with_finite_log(self):
         # at d = 400 a tiny density floor puts L far past the double range
         summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, det_min=1.0, mu_max=0.0)
-        params = ConditionParams(R=4.0, beta=0.05, gamma=1e-300)
+        params = ConditionParams(R=4.0, beta=0.05, log_gamma=math.log(1e-300))
         L = lipschitz_constant(summ, params, 400)
         assert L.value == math.inf
         assert math.isfinite(L.log_value) and L.log_value > 709.8
@@ -131,13 +133,14 @@ class TestLipschitzConstant:
     def test_underflowed_determinant_uses_its_log(self):
         summ = SpectralSummary(sigma_min=0.01, sigma_max=0.01, det_min=0.0, mu_max=0.0,
                                log_det_min=400 * math.log(0.01))
-        L = lipschitz_constant(summ, ConditionParams(R=3.0, beta=0.05, gamma=0.05), 400)
+        params = ConditionParams(R=3.0, beta=0.05, log_gamma=math.log(0.05))
+        L = lipschitz_constant(summ, params, 400)
         assert math.isfinite(L.log_value) and L.log_value > 1000.0
 
     @pytest.mark.parametrize("gamma", [1e-150, 1e-20, 0.05])
     def test_finite_value_keeps_linear_sum(self, gamma):
         summ = SpectralSummary(sigma_min=0.5, sigma_max=2.0, det_min=0.7, mu_max=1.0)
-        params = ConditionParams(R=3.0, beta=0.05, gamma=gamma)
+        params = ConditionParams(R=3.0, beta=0.05, log_gamma=math.log(gamma))
         L = lipschitz_constant(summ, params, 3)
         log_pair = np.logaddexp(-3 * math.log(2 * math.pi) - math.log(0.7),
                                 -1.5 * math.log(2 * math.pi) - 0.5 * math.log(0.7))
@@ -255,38 +258,38 @@ class TestKlToStandardUpper:
 
 class TestRegionCheck:
     def test_center_fails_lower_clause(self, std1d):
-        params = ConditionParams(R=5.0, beta=0.05, gamma=0.01)
-        res = region_check(std1d, 1.0, [0.0], params)
-        assert not res.ok
-        assert ("below_beta", 0) in res.failures
+        # |0 - 0| < beta while the density 0.399 clears the floor; 0.06 passes
+        params = ConditionParams(R=5.0, beta=0.05, log_gamma=math.log(0.01))
+        assert region_mask(std1d, 1.0, [[0.0], [0.06]], params).tolist() == [False, True]
 
     def test_far_point_fails_upper_clause(self, std1d):
-        params = ConditionParams(R=10.0, beta=0.05, gamma=1e-30)
-        res = region_check(std1d, 1.0, [1e6], params)
-        assert not res.ok
-        assert ("above_R", 0) in res.failures
+        params = ConditionParams(R=10.0, beta=0.05, log_gamma=math.log(1e-30))
+        assert region_mask(std1d, 1.0, [[1e6], [9.0]], params).tolist() == [False, True]
 
     def test_moderate_point_passes(self, std1d):
-        params = ConditionParams(R=5.0, beta=0.05, gamma=0.01)
-        res = region_check(std1d, 1.0, [1.0], params)
-        assert res.ok and res.failures == ()
+        params = ConditionParams(R=5.0, beta=0.05, log_gamma=math.log(0.01))
+        assert region_mask(std1d, 1.0, [1.0], params).tolist() == [True]
 
     def test_density_clause(self, std1d):
-        params = ConditionParams(R=10.0, beta=0.01, gamma=0.0999)
-        res = region_check(std1d, 1.0, [3.5], params)
-        assert not res.ok
-        assert ("density_below_gamma", None) in res.failures
+        # 3.5 lies inside [beta, R]; its density 8.7e-4 is below the floor
+        params = ConditionParams(R=10.0, beta=0.01, log_gamma=math.log(0.0999))
+        assert region_mask(std1d, 1.0, [[3.5], [1.0]], params).tolist() == [False, True]
 
     def test_mask_agrees_with_scalar(self, anchor):
-        params = ConditionParams(R=4.0, beta=0.05, gamma=0.01)
+        # the clauses evaluated point by point: norms and log p of one point
+        params = ConditionParams(R=4.0, beta=0.05, log_gamma=math.log(0.01))
         pts = np.linspace(-4.0, 4.0, 41)[:, None]
         mask = region_mask(anchor, 1.0, pts, params)
-        scalar = [region_check(anchor, 1.0, p, params).ok for p in pts]
+        dists = [np.linalg.norm(p - anchor.means, axis=1) for p in pts]
+        scalar = [bool((r >= params.beta).all() and (r <= params.R).all()
+                       and log_density(anchor, p) >= params.log_gamma)
+                  for r, p in zip(dists, pts)]
         assert list(mask) == scalar
+        assert 0 < sum(scalar) < len(scalar)
 
     def test_mask_takes_one_point_and_puts_nan_outside(self, anchor):
         # region_mask leaves finiteness to the caller: NaN fails every clause
-        params = ConditionParams(R=4.0, beta=0.05, gamma=0.01)
+        params = ConditionParams(R=4.0, beta=0.05, log_gamma=math.log(0.01))
         assert region_mask(anchor, 1.0, [1.0], params).tolist() == [True]
         mask = region_mask(anchor, 1.0, [[1.0], [math.nan]], params)
         assert mask.tolist() == [True, False]
@@ -304,7 +307,7 @@ class TestCalibrateRegion:
         spec = validate_spec([(1.0, [0.0], [[1e-4]])])
         batch = sample(spec, 5000, seed=6)
         params = calibrate_region(spec, 1.0, batch)
-        assert params.gamma == pytest.approx(0.0999)
+        assert params.log_gamma == pytest.approx(math.log(0.0999))
 
     def test_too_few_samples(self, std1d):
         with pytest.raises(TooFewSamples):
@@ -328,12 +331,12 @@ class TestCalibrateRegion:
         assert params.R == pytest.approx(R, rel=rel, abs=0)
         assert params.beta == pytest.approx(beta, rel=rel, abs=0)
         ref_mask = ((dists >= params.beta).all(axis=1) & (dists <= params.R).all(axis=1)
-                    & (density(spec_t, pts) >= params.gamma))
+                    & (log_density(spec_t, pts) >= params.log_gamma))
         mask = region_mask(spec_t, a_t, pts, params)
         np.testing.assert_array_equal(mask, ref_mask)
         assert 0 < mask.sum() < len(mask)
         for i in range(0, 20000, 997):
-            assert region_check(spec_t, a_t, pts[i], params).ok == ref_mask[i]
+            assert region_mask(spec_t, a_t, pts[i], params).tolist() == [ref_mask[i]]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mean_distances_are_component_major(self, d):
@@ -379,4 +382,16 @@ class TestBoundReport:
         d = rep.to_dict()
         assert set(d) == {"t", "L", "log_L", "m2", "M2", "kl_upper", "sigma_min",
                           "sigma_max", "det_min", "log_det_min", "mu_max", "R", "beta",
-                          "gamma"}
+                          "gamma", "log_gamma"}
+        assert d["gamma"] == math.exp(d["log_gamma"])
+
+    def test_density_floor_survives_high_dimension(self):
+        # at d = 1000 the 1st-percentile density is about e^-1470: gamma is
+        # 0.0 in doubles, while its log keeps the region and L meaningful
+        spec = standard_normal_spec(1000)
+        rep = bound_report(spec, 0.0, calibration_samples=2000, seed=1)
+        assert -math.inf < rep.params.log_gamma < math.log(0.1)
+        assert rep.to_dict()["gamma"] == 0.0
+        assert math.isfinite(rep.log_L)
+        fresh = sample_array(spec, 2000, np.random.default_rng(2))
+        assert region_mask(spec, 1.0, fresh, rep.params).mean() >= 0.95

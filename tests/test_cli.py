@@ -34,6 +34,10 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _one_component_spec(**field):
+    return {"dim": 1, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]], **field}]}
+
+
 class TestBoundsCommand:
     def test_standard_normal_report(self, normal_spec_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -58,7 +62,7 @@ class TestBoundsCommand:
         assert rep["m2"] == pytest.approx(2.0615528128088303, rel=1e-12)
         assert rep["kl_upper"] == pytest.approx(2.3181471805599454, rel=1e-12)
         assert rep["sigma_min"] == pytest.approx(0.25, rel=1e-12)
-        assert rep["log_L"] == pytest.approx(15.570747274377092, rel=1e-9)
+        assert rep["log_L"] == pytest.approx(15.570747303736757, rel=1e-9)
 
     @staticmethod
     def _reject_non_standard_constant(name):
@@ -105,6 +109,24 @@ class TestBoundsCommand:
                    "--seed", "1"])
         assert rc == 2
         assert "component 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, where", [
+        (True, "a spec is"), (None, "a spec is"), (-1, "a spec is"), ([1e308], "a spec is"),
+        (_one_component_spec(weight=None), "component 0: weight"),
+        (_one_component_spec(weight=[[1.0]]), "component 0: weight"),
+        (_one_component_spec(mean={}), "component 0: mean"),
+        (_one_component_spec(cov={}), "component 0: cov"),
+        ({**_one_component_spec(), "dim": [1]}, "declared dim [1]"),
+    ], ids=["true", "null", "-1", "[1e308]", "weight-null", "weight-nested",
+            "mean-object", "cov-object", "dim-list"])
+    def test_malformed_spec_exit_2_without_output(self, tmp_path, capsys, raw, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        rc = main(["bounds", "--spec", str(bad), "--out", str(out), "--seed", "1"])
+        assert rc == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_weight_exit_2_without_samples(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
@@ -532,8 +554,8 @@ class TestSweepCommand:
                      "--values", "8", "16", "32", "64", "--T", "4", "--n", "1000",
                      "--seed", "2", "--delta", "0.5"]) == 0
         result = gmdiff.metrics.convergence_sweep(
-            standard_mixture_1d(), "ei", "N", [8.0, 16.0, 32.0, 64.0], "kl_histogram",
-            1000, 2, T=4.0, delta=0.5)
+            standard_mixture_1d(), "ei", "N", [8.0, 16.0, 32.0, 64.0], 1000, 2,
+            T=4.0, delta=0.5)
         cli_rows = [tuple(line.split(",")) for line in
                     (out / "sweep.csv").read_text().splitlines()[1:]]
         assert cli_rows == [(repr(r.axis_value), r.metric, repr(r.value), repr(r.stderr))

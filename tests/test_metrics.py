@@ -283,7 +283,7 @@ class TestMomentDiagnostics:
 
 class TestSpectralProbe:
     def test_standard_normal_norms_are_one(self, std2d):
-        params = ConditionParams(R=8.0, beta=0.01, gamma=1e-6)
+        params = ConditionParams(R=8.0, beta=0.01, log_gamma=math.log(1e-6))
         batch = sample(std2d, 2000, seed=16)
         probe = jacobian_spectral_probe(std2d, batch, params, 1.0)
         assert probe.max_norm == pytest.approx(1.0, abs=1e-10)
@@ -291,7 +291,7 @@ class TestSpectralProbe:
 
     def test_diagonal_covariance_norm(self):
         spec = validate_spec([(1.0, [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]])])
-        params = ConditionParams(R=20.0, beta=0.01, gamma=1e-9)
+        params = ConditionParams(R=20.0, beta=0.01, log_gamma=math.log(1e-9))
         batch = sample(spec, 500, seed=17)
         probe = jacobian_spectral_probe(spec, batch, params, 1.0)
         assert probe.max_norm == pytest.approx(1.0, abs=1e-10)
@@ -305,7 +305,7 @@ class TestSpectralProbe:
         np.testing.assert_allclose(pi_norms, dense, rtol=1e-14, atol=0)
 
     def test_no_points_in_region(self, std1d):
-        params = ConditionParams(R=1.0, beta=0.0999, gamma=0.0999)
+        params = ConditionParams(R=1.0, beta=0.0999, log_gamma=math.log(0.0999))
         batch = SampleBatch(points=np.full((100, 1), 50.0), meta={})
         with pytest.raises(NoPointsInRegion):
             jacobian_spectral_probe(std1d, batch, params, 1.0)
@@ -320,7 +320,7 @@ def _eigvalsh_norms(mats):
 _ENTRY = st.one_of(st.just(0.0), st.floats(1e-100, 1.0), st.floats(-1.0, -1e-100))
 
 
-_PROBE_PARAMS = ConditionParams(R=8.0, beta=0.01, gamma=1e-6)
+_PROBE_PARAMS = ConditionParams(R=8.0, beta=0.01, log_gamma=math.log(1e-6))
 # each metric with the (bad) sample points in the argument it reads them from
 _SAMPLE_METRICS = {
     "kl_histogram": lambda pts, spec, grid, clean: kl_histogram(pts, spec, grid),
@@ -387,7 +387,7 @@ class TestConvergenceSweep:
                             pytest.fail("a sampler ran before the values were checked"))
         with pytest.raises(ValueError, match="sweep values must be finite"):
             convergence_sweep(anchor, "ei", axis, [16.0, 32.0, bad, 64.0],
-                              "kl_histogram", 100, seed=1, T=2.0, fixed_N=16)
+                              100, seed=1, T=2.0, fixed_N=16)
 
 
 class TestSpectralNorms:

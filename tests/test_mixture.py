@@ -25,6 +25,9 @@ from gmdiff.errors import (
     WeightsDoNotSumToOne,
 )
 from gmdiff import mixture
+from gmdiff.metrics import default_histogram_grid, moment_diagnostics
+from gmdiff.schedules import uniform_grid
+from gmdiff.solvers import FourierField, make_score_model
 from gmdiff.verify import fd_jacobian
 
 from conftest import make_random_spec, naive_density
@@ -56,23 +59,42 @@ class TestValidateSpec:
             validate_spec([(1.0, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])])
 
     @staticmethod
-    def _badly_scaled_cov():
-        # SPD at scale 1e8: Cholesky succeeds, but L L^T misses it by more
-        # than the absolute reconstruction tolerance
-        a = np.random.default_rng(0).standard_normal((3, 3))
-        c = (a @ a.T + np.eye(3)) * 1e8
-        return 0.5 * (c + c.T)
+    def _unit_scale_cov(kind):
+        if kind == "1d":
+            return np.eye(1)
+        rng = np.random.default_rng(0)
+        if kind == "rotated":
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            cov = q @ np.diag([1.0, 2.0, 3.0]) @ q.T
+        else:
+            a = rng.standard_normal((3, 3))
+            cov = a @ a.T + np.eye(3)
+        return 0.5 * (cov + cov.T)
+
+    @pytest.mark.parametrize("c, kind", [(1e7, "1d"), (1e6, "rotated"), (1e8, "random")],
+                             ids=["1d-1e7", "rotated-1e6", "random-1e8"])
+    def test_scaled_covariance_validates(self, c, kind):
+        # SPD at every scale: Cholesky's L L^T misses c Sigma by about
+        # d eps c |Sigma|, so no absolute tolerance on it may reject the input;
+        # the score scales exactly, score_{c Sigma}(sqrt(c) x) = score_Sigma(x) / sqrt(c)
+        cov = self._unit_scale_cov(kind)
+        d, r = len(cov), math.sqrt(c)
+        means = [np.zeros(d), np.full(d, 0.5)]
+        base = validate_spec([(0.3, means[0], cov), (0.7, means[1], np.eye(d))])
+        scaled = validate_spec([(0.3, r * means[0], c * cov), (0.7, r * means[1], c * np.eye(d))])
+        x = np.random.default_rng(1).standard_normal((50, d))
+        want = score(base, x)
+        got = score(scaled, r * x) * r
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("bad_at", [(1,), (2,), (1, 2)])
     @pytest.mark.parametrize("fault, error, text", [
         ("asymmetric", NonSymmetricCovariance, "not symmetric"),
         ("indefinite", NotPositiveDefinite, "not positive definite"),
-        ("badly_scaled", NotPositiveDefinite, "does not reproduce"),
     ])
     def test_names_first_failing_component(self, bad_at, fault, error, text):
         cov = {"asymmetric": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-               "indefinite": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-               "badly_scaled": self._badly_scaled_cov()}[fault]
+               "indefinite": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}[fault]
         triples = [(1.0 / 3.0, np.full(3, float(i)), cov if i in bad_at else np.eye(3))
                    for i in range(3)]
         with pytest.raises(error, match=f"component {bad_at[0]}: .*{text}"):
@@ -482,3 +504,21 @@ class TestSample:
             pts = mixture.sample_array(spec, n, np.random.default_rng(n + k))
             assert pts.shape == (n, d)
             assert pts.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda spec: validate_spec(spec.to_dict()),
+    lambda spec: responsibilities(spec, [0.0]),
+    lambda spec: make_score_model(spec, "perturbed", 0.1, seed=0),
+    lambda spec: FourierField.create(1, seed=0),
+    lambda spec: uniform_grid(1.0, 4),
+    lambda spec: sample(spec, 4, seed=0),
+    lambda spec: default_histogram_grid(spec, 10),
+    lambda spec: moment_diagnostics(sample(spec, 100, seed=0), spec),
+], ids=["GmmSpec", "Responsibilities", "ScoreModel", "FourierField", "TimeGrid",
+        "SampleBatch", "HistogramGrid", "MomentDiagnostics"])
+def test_array_holders_compare_and_hash_by_identity(anchor, make):
+    # comparing the array fields would raise; identity is the only equality
+    obj = make(anchor)
+    assert obj == obj and obj in [obj] and {obj: 1}[obj] == 1
+    assert obj != make(anchor)
