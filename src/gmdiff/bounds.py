@@ -174,6 +174,11 @@ def kl_gaussian_exact(mu1, cov1, mu2, cov2) -> float:
     return float(max(kl, 0.0))
 
 
+def _kl_closed_form(summ: SpectralSummary, d: int) -> float:
+    """1/2 (-log det_min + d sigma_max + mu_max - d)."""
+    return float(0.5 * (-summ.log_det_min + d * summ.sigma_max + summ.mu_max - d))
+
+
 def kl_to_standard_upper(spec: GmmSpec) -> KlUpperBound:
     """Closed-form upper bound on KL(mixture || standard normal):
 
@@ -183,15 +188,14 @@ def kl_to_standard_upper(spec: GmmSpec) -> KlUpperBound:
     sum_i alpha_i KL(component_i || standard normal), which the closed form
     always dominates.
     """
-    summ = spectral_summary(spec)
     d = spec.dim
-    bound = 0.5 * (-summ.log_det_min + d * summ.sigma_max + summ.mu_max - d)
     eye = np.eye(d)
     zero = np.zeros(d)
     convexity = float(sum(
         w * kl_gaussian_exact(m, c, zero, eye)
         for w, m, c in zip(spec.weights, spec.means, spec.covs)))
-    return KlUpperBound(bound=float(bound), convexity_bound=convexity)
+    return KlUpperBound(bound=_kl_closed_form(spectral_summary(spec), d),
+                        convexity_bound=convexity)
 
 
 def _mean_distances(spec_t: GmmSpec, a_t: float, x) -> np.ndarray:
@@ -223,6 +227,30 @@ def region_mask(spec_t: GmmSpec, a_t: float, points: np.ndarray,
     return ok
 
 
+def _percentile(a: np.ndarray, q: float) -> float:
+    """np.percentile(a, q) of a 1-D array, bit for bit (numpy's default
+    linear method): order statistics i and i + 1 around the virtual index
+    (n - 1) q / 100, interpolated by numpy's own rule.
+
+    numpy partitions on both order statistics at once, and a partition on
+    two kth values runs about 8x slower than on one (20000 values: 264 us
+    against 31 us, slower than a full sort). So this partitions on i alone
+    and takes order statistic i + 1 as the minimum of the part above it.
+    """
+    n = a.shape[0]
+    v = (n - 1) * (q / 100.0)
+    if v >= n - 1:
+        # numpy reads the maximum on both sides, at weight v + 1
+        lo = hi = a.max()
+        t = v + 1.0
+    else:
+        i = math.floor(v)
+        part = np.partition(a, i)
+        lo, hi, t = part[i], part[i + 1:].min(), v - i
+    diff = hi - lo
+    return float(hi - diff * (1.0 - t) if t >= 0.5 else lo + diff * t)
+
+
 def calibrate_region(spec_t: GmmSpec, a_t: float, samples: SampleBatch) -> ConditionParams:
     """Pick (R, beta, log gamma) from sample percentiles so that the bulk
     of the mass satisfies the region clauses:
@@ -235,11 +263,11 @@ def calibrate_region(spec_t: GmmSpec, a_t: float, samples: SampleBatch) -> Condi
     if pts.shape[0] < 1000:
         raise TooFewSamples(f"need >= 1000 samples to calibrate, got {pts.shape[0]}")
     dists = _mean_distances(spec_t, a_t, pts)
-    R = max(1.0, float(np.percentile(dists.max(axis=0), 99.0)))
-    beta = min(float(np.percentile(dists.min(axis=0), 1.0)), _BETA_GAMMA_CAP)
+    R = max(1.0, _percentile(dists.max(axis=0), 99.0))
+    beta = min(_percentile(dists.min(axis=0), 1.0), _BETA_GAMMA_CAP)
     if beta <= 0.0:
         beta = 1e-6
-    log_gamma = min(float(np.percentile(log_density(spec_t, pts), 1.0)),
+    log_gamma = min(_percentile(log_density(spec_t, pts), 1.0),
                     math.log(_BETA_GAMMA_CAP))
     return ConditionParams(R=R, beta=beta, log_gamma=log_gamma)
 
@@ -287,7 +315,9 @@ def bound_report(spec0: GmmSpec, t: float, calibration_samples: int = 20000,
     summ = spectral_summary(spec_t)
     lip = lipschitz_constant(summ, params, spec0.dim)
     mom = second_moment(spec0)
-    kl = kl_to_standard_upper(spec0)
+    # the closed form alone: the convexity bound's per-component
+    # factorizations would be thrown away
+    kl_upper = _kl_closed_form(spectral_summary(spec0), spec0.dim)
     return BoundReport(t=t, L=lip.value, log_L=lip.log_value,
-                       m2=mom.m2, M2=mom.M2, kl_upper=kl.bound,
+                       m2=mom.m2, M2=mom.M2, kl_upper=kl_upper,
                        summary=summ, params=params)

@@ -69,6 +69,10 @@ class HistogramGrid:
             raise NonFiniteParameter("grid bounds lo and hi must be finite")
         if np.any(hi <= lo):
             raise ValueError("each axis needs lo < hi")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(hi - lo).all():
+                # linspace edges and the bin arithmetic would be NaN
+                raise ValueError("each axis needs a finite width hi - lo")
         if not np.isfinite(bins).all():
             raise NonFiniteParameter("bin counts must be finite")
         if np.any(bins != np.floor(bins)) or np.any(bins >= 2.0**63):
@@ -132,10 +136,31 @@ def _batch_points(samples, dim: int) -> np.ndarray:
 
 
 def _sample_cell_masses(pts: np.ndarray, grid: HistogramGrid) -> tuple[np.ndarray, float]:
-    """Normalized histogram over grid cells plus the out-of-grid fraction."""
-    hist, _ = np.histogramdd(pts, bins=grid.edges)
+    """Normalized histogram over grid cells plus the out-of-grid fraction.
+
+    The counts are np.histogramdd(pts, bins=grid.edges)'s, found without
+    its general per-axis searchsorted: the grid is uniform, so arithmetic
+    estimates each bin, and only the estimates that fail the test against
+    the edges themselves are searched. Index j on an axis counts the edges
+    <= x, so 0 and bins + 1 are the outliers. The last edge is moved up one
+    ulp, which closes the last bin on the right as histogramdd does.
+    """
     n = pts.shape[0]
-    masses = hist / n
+    flat = 0
+    for a, edges in enumerate(grid.edges):
+        bins = int(grid.bins[a])
+        edges[-1] = np.nextafter(edges[-1], np.inf)
+        x = pts[:, a]
+        est = np.floor((x - grid.lo[a]) * (bins / (grid.hi[a] - grid.lo[a])) + 1.0)
+        j = np.clip(est, 0, bins + 1, out=est).astype(np.intp)
+        bounds = np.concatenate(([-np.inf], edges, [np.inf]))
+        bad = (x < bounds[j]) | (x >= bounds[j + 1])
+        if bad.any():
+            j[bad] = np.searchsorted(edges, x[bad], side="right")
+        flat = flat * (bins + 2) + j
+    shape = tuple(int(b) + 2 for b in grid.bins)
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+    masses = counts[(slice(1, -1),) * grid.dim] / n
     return masses, float(1.0 - masses.sum())
 
 

@@ -127,7 +127,11 @@ def validate_spec(raw) -> GmmSpec:
         raise EmptyMixture("mixture must have at least one component")
 
     weights, means, covs = [], [], []
-    for i, (w, m, c) in enumerate(triples):
+    for i, item in enumerate(triples):
+        if len(item) != 3:
+            raise MalformedSpec(f"component {i}: expected a (weight, mean, cov) triple, "
+                                f"got {reprlib.repr(item)}")
+        w, m, c = item
         weights.append(_spec_field(i, "weight", w))
         if weights[-1].ndim != 0:
             raise MalformedSpec(f"component {i}: weight must be a number, got {reprlib.repr(w)}")

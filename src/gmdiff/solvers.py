@@ -29,6 +29,10 @@ from .samples import SampleBatch
 from .schedules import TimeGrid
 
 _DIVERGENCE_LIMIT = 1e8
+# corrector steps one predictor-corrector run may ask for, over all nodes:
+# each step evaluates the score on every chain, so even at 1000 chains and
+# d = 2 (about 0.1 ms a step) the limit is hours of work
+_MAX_CORRECTOR_STEPS = 10 ** 8
 _FOURIER_FEATURES = 64
 # chains per field block: the (64, block) float32 argument is 1 MB and stays
 # in cache (8192 and more columns were slower than no blocks at all)
@@ -393,6 +397,10 @@ def run_predictor_corrector(model: ScoreModel, T: float, h_pred: float,
         raise ValueError(f"h_pred={h_pred!r} needs {count:.6g} predictor nodes over "
                          f"a span of {span!r}, more than can be allocated ({exc})") from exc
     nodes[-1] = span
+    if n_steps * corr_steps_per_node > _MAX_CORRECTOR_STEPS:
+        raise ValueError(f"corr_steps_per_node={corr_steps_per_node} at {n_steps} predictor "
+                         f"nodes asks for {n_steps * corr_steps_per_node} corrector steps, "
+                         f"more than the limit of {_MAX_CORRECTOR_STEPS}")
 
     def advance(y, v, h, s_val, t_next, rng):
         em1 = math.expm1(h)

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import gmdiff.bounds
 from gmdiff import (
     ConditionParams,
     calibrate_region,
     kl_gaussian_exact,
     kl_to_standard_upper,
     lipschitz_constant,
+    lipschitz_suite,
     marginal_at,
     sample,
     second_moment,
@@ -19,7 +21,13 @@ from gmdiff import (
     standard_normal_spec,
     validate_spec,
 )
-from gmdiff.bounds import SpectralSummary, _mean_distances, bound_report, region_mask
+from gmdiff.bounds import (
+    SpectralSummary,
+    _mean_distances,
+    _percentile,
+    bound_report,
+    region_mask,
+)
 from gmdiff.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -295,6 +303,37 @@ class TestRegionCheck:
         assert mask.tolist() == [True, False]
 
 
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestPercentile:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1000, 30000),
+           q=st.one_of(st.sampled_from([1.0, 99.0]), st.floats(0.0, 100.0)),
+           ties=st.booleans(), far=st.sampled_from([0, 1, 150, 300, 5000]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_numpy_bit_for_bit(self, seed, n, q, ties, far):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n) * 30.0
+        if ties:
+            # + 0.0 turns -0.0 into 0.0: which of two equal signed zeros a
+            # partition puts first is no property of the values
+            a = np.round(a) + 0.0
+        # far points have log density -inf; -inf on both sides makes NaN
+        a[rng.choice(n, min(far, n), replace=False)] = -np.inf
+        with np.errstate(invalid="ignore"):
+            assert _bits(_percentile(a, q)) == _bits(np.percentile(a, q))
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("q", [0.0, 1.0, 99.0, 100.0])
+    def test_end_points_and_tiny_arrays(self, n, q):
+        a = np.random.default_rng(n).standard_normal(n)
+        assert _bits(_percentile(a, q)) == _bits(np.percentile(a, q))
+        a[-1] = -np.inf
+        with np.errstate(invalid="ignore"):
+            assert _bits(_percentile(a, q)) == _bits(np.percentile(a, q))
+
+
 class TestCalibrateRegion:
     def test_standard_normal_radius(self, std1d):
         batch = sample(std1d, 100000, seed=5)
@@ -370,6 +409,18 @@ class TestBoundReport:
                 assert rep.M2 == pytest.approx(rep.m2 ** 2, rel=1e-12)
                 assert rep.kl_upper >= 0.0
                 assert math.isfinite(rep.log_L)
+
+    def test_kl_upper_is_the_closed_form_without_factorizing(self, monkeypatch):
+        specs = lipschitz_suite(2024)
+        expected = [kl_to_standard_upper(spec).bound for spec in specs]
+
+        def factorize(*args):
+            raise AssertionError("bound_report ran kl_gaussian_exact")
+
+        monkeypatch.setattr(gmdiff.bounds, "kl_gaussian_exact", factorize)
+        for spec, bound in zip(specs, expected):
+            rep = bound_report(spec, 0.5, calibration_samples=1000, seed=1)
+            assert _bits(rep.kl_upper) == _bits(bound)
 
     def test_long_time_approaches_standard_normal_values(self, anchor):
         rep = bound_report(anchor, 30.0, seed=3)

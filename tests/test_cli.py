@@ -8,6 +8,7 @@ import pytest
 
 import gmdiff.cli
 import gmdiff.metrics
+import gmdiff.solvers
 from gmdiff.cli import main
 from gmdiff.fileio import save_spec
 from gmdiff.mixture import validate_spec
@@ -117,8 +118,12 @@ class TestBoundsCommand:
         (_one_component_spec(mean={}), "component 0: mean"),
         (_one_component_spec(cov={}), "component 0: cov"),
         ({**_one_component_spec(), "dim": [1]}, "declared dim [1]"),
+        ([[1.0, [0.0]]], "component 0: expected a (weight, mean, cov) triple"),
+        (["ab"], "component 0: expected a (weight, mean, cov) triple"),
+        ([[1.0, [0.0], [[1.0]]], [0.5, [0.0], [[1.0]], 7]],
+         "component 1: expected a (weight, mean, cov) triple"),
     ], ids=["true", "null", "-1", "[1e308]", "weight-null", "weight-nested",
-            "mean-object", "cov-object", "dim-list"])
+            "mean-object", "cov-object", "dim-list", "pair", "string", "four-items"])
     def test_malformed_spec_exit_2_without_output(self, tmp_path, capsys, raw, where):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
@@ -255,6 +260,22 @@ class TestSampleCommand:
         assert rc == 2
         assert name in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
+        assert not (out / "run.meta.json").exists()
+
+    @pytest.mark.parametrize("solver", ["dpom", "dpum"])
+    def test_huge_corr_steps_exit_2_before_the_loop(self, spec_file, tmp_path, capsys,
+                                                    monkeypatch, solver):
+        # a loop of 10^11 corrector steps per node would run until killed
+        def loop(*args, **kwargs):
+            raise AssertionError("the sampler loop started")
+
+        monkeypatch.setattr(gmdiff.solvers, "_reverse_loop", loop)
+        out = tmp_path / "o"
+        rc = main(["sample", "--spec", spec_file, "--out", str(out), "--seed", "1",
+                   "--solver", solver, "--corr-steps", "100000000000", "--n", "5", "--N", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "corr_steps_per_node=100000000000" in err and "200000000000" in err
         assert not (out / "run.meta.json").exists()
 
     @pytest.mark.parametrize("args, name", [

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -32,6 +32,7 @@ from gmdiff.errors import (
 )
 from gmdiff.metrics import (
     SampleBatch,
+    _sample_cell_masses,
     fit_loglog_slope,
     reference_cell_masses,
     spectral_norms,
@@ -75,6 +76,11 @@ class TestHistogramGrid:
     def test_rejects_non_finite_bounds(self, lo, hi):
         with pytest.raises(NonFiniteParameter):
             HistogramGrid(lo=lo, hi=hi, bins=[10] * len(lo))
+
+    def test_rejects_width_past_double_range(self):
+        # hi - lo overflows to inf, so linspace would give NaN edges
+        with pytest.raises(ValueError, match="finite width"):
+            HistogramGrid(lo=[-1e308], hi=[1e308], bins=[10])
 
     def test_default_grid_covers_components(self, anchor):
         g = default_histogram_grid(anchor)
@@ -144,6 +150,75 @@ class TestReferenceCellMasses:
         np.testing.assert_allclose(masses, ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(masses, whole[0], rtol=1e-12, atol=0)
         assert outside == pytest.approx(ref_outside, rel=0, abs=1e-12)
+
+
+def _edge_points(rng, pts, grid):
+    """Put a third of each axis' coordinates on an edge or one ulp either
+    side of it, and one on hi; lo and hi are edges too."""
+    n = pts.shape[0]
+    for a, edges in enumerate(grid.edges):
+        rows = rng.integers(0, n, n // 3 + 1)
+        e = rng.choice(edges, rows.size)
+        side = rng.integers(0, 3, rows.size)
+        pts[rows, a] = np.where(side == 0, np.nextafter(e, -np.inf),
+                                np.where(side == 1, e, np.nextafter(e, np.inf)))
+        pts[rng.integers(0, n), a] = grid.hi[a]
+    return pts
+
+
+def _assert_histogramdd_masses(pts, grid):
+    hist, _ = np.histogramdd(pts, bins=grid.edges)
+    ref = hist / pts.shape[0]
+    masses, outside = _sample_cell_masses(pts, grid)
+    assert masses.shape == ref.shape
+    assert masses.tobytes() == ref.tobytes()
+    assert outside == float(1.0 - ref.sum())
+
+
+class TestSampleCellMasses:
+    @given(d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-3.0, 6.0),
+           rel_width=st.lists(st.floats(-16.0, 3.0), min_size=3, max_size=3),
+           bins=st.lists(st.integers(10, 40), min_size=3, max_size=3),
+           n=st.integers(1, 2000))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_histogramdd(self, d, seed, scale, rel_width, bins, n):
+        # relative widths down to 1e-16 make narrow grids whose edges repeat,
+        # where the arithmetic bin is off by more than one
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-1.0, 1.0, d) * 10.0 ** scale
+        width = np.abs(center) * 10.0 ** np.array(rel_width[:d]) + 1e-300
+        lo, hi = center - width, center + width
+        assume(np.all(hi > lo))
+        grid = HistogramGrid(lo=lo, hi=hi, bins=bins[:d])
+        assume(all(np.all(np.diff(e) >= 0) for e in grid.edges))
+        # some points fall outside the grid
+        pts = center + width * rng.uniform(-1.5, 1.5, (n, d))
+        _assert_histogramdd_masses(_edge_points(rng, pts, grid), grid)
+
+    @pytest.mark.parametrize("lo, hi, bins", [
+        ([1e6], [1e6 + 1e-9], [100]),                 # 9 ulps over 100 bins
+        ([1e6, -2.0], [1e6 + 5e-10, 5.0], [200, 30]),
+        ([-1e300, 0.0, 1e-300], [1e300, 1e-3, 1.0001e-300], [50, 20, 10]),
+    ], ids=["narrow-1d", "narrow-2d", "wide-and-narrow-3d"])
+    def test_extreme_widths(self, lo, hi, bins):
+        grid = HistogramGrid(lo=lo, hi=hi, bins=bins)
+        if lo[0] == 1e6:
+            # repeated edges: (x - lo) bins / (hi - lo) is up to 6 (1-D) or
+            # 25 (2-D) bins away from the last edge <= x
+            assert np.any(np.diff(grid.edges[0]) == 0)
+        rng = np.random.default_rng(17)
+        width = grid.hi - grid.lo
+        pts = grid.lo + width * rng.uniform(-0.2, 1.2, (3000, grid.dim))
+        pts[::7] = (grid.lo + grid.hi) / 2 + rng.uniform(-1e-9, 1e-9, (1, grid.dim))
+        _assert_histogramdd_masses(_edge_points(rng, pts, grid), grid)
+
+    def test_points_outside_are_dropped(self):
+        grid = HistogramGrid(lo=[0.0, 0.0], hi=[1.0, 1.0], bins=[10, 10])
+        pts = np.array([[0.5, 0.5], [-1e300, 0.5], [0.5, 1e300], [1.0, 1.0], [2.0, -2.0]])
+        masses, outside = _sample_cell_masses(pts, grid)
+        assert masses[5, 5] == masses[9, 9] == 0.2 and masses.sum() == 0.4
+        assert outside == pytest.approx(0.6, abs=1e-15)
+        _assert_histogramdd_masses(pts, grid)
 
 
 class TestTvHistogram:
