@@ -63,19 +63,18 @@ class SpectralSummary:
     plus the largest squared mean norm.
 
     ``log_det_min`` is the log of the smallest determinant, taken from the
-    log-determinants: det_min itself underflows to 0 at high d (0.01 I at
-    d = 400 has determinant e^-1842). Left out, it is log(det_min).
+    log-determinants; ``det_min``, its exp, underflows to 0 at high d
+    (0.01 I at d = 400 has determinant e^-1842).
     """
 
     sigma_min: float
     sigma_max: float
-    det_min: float
+    log_det_min: float
     mu_max: float
-    log_det_min: float | None = None
 
-    def __post_init__(self):
-        if self.log_det_min is None:
-            object.__setattr__(self, "log_det_min", math.log(self.det_min))
+    @property
+    def det_min(self) -> float:
+        return float(np.exp(self.log_det_min))
 
 
 class LipschitzResult(NamedTuple):
@@ -97,13 +96,11 @@ class KlUpperBound(NamedTuple):
 def spectral_summary(spec: GmmSpec) -> SpectralSummary:
     """Eigen-extrema, determinant minimum, and mean-norm maximum over
     components, read off the spec's cached eigenvalues."""
-    log_det_min = spec.log_dets.min()
     return SpectralSummary(
         sigma_min=float(spec.eigvals[:, 0].min()),
         sigma_max=float(spec.eigvals[:, -1].max()),
-        det_min=float(np.exp(log_det_min)),
+        log_det_min=float(spec.log_dets.min()),
         mu_max=float(max(np.sum(spec.means ** 2, axis=1))),
-        log_det_min=float(log_det_min),
     )
 
 
@@ -174,28 +171,23 @@ def kl_gaussian_exact(mu1, cov1, mu2, cov2) -> float:
     return float(max(kl, 0.0))
 
 
-def _kl_closed_form(summ: SpectralSummary, d: int) -> float:
-    """1/2 (-log det_min + d sigma_max + mu_max - d)."""
-    return float(0.5 * (-summ.log_det_min + d * summ.sigma_max + summ.mu_max - d))
-
-
 def kl_to_standard_upper(spec: GmmSpec) -> KlUpperBound:
-    """Closed-form upper bound on KL(mixture || standard normal):
+    """Two upper bounds on KL(mixture || standard normal), both read off the
+    cached eigendecomposition: the closed form
 
-    1/2 (-log det_min + d sigma_max + mu_max - d).
+        1/2 (-log det_min + d sigma_max + mu_max - d),
 
-    Also returns the tighter mixture-convexity bound
-    sum_i alpha_i KL(component_i || standard normal), which the closed form
-    always dominates.
+    and the tighter mixture-convexity bound sum_i alpha_i KL(component_i ||
+    standard normal), each term 1/2 (sum lam_i + |mu_i|^2 - d - log det
+    Sigma_i) clamped at 0 as kl_gaussian_exact clamps. The closed form
+    always dominates the convexity bound.
     """
     d = spec.dim
-    eye = np.eye(d)
-    zero = np.zeros(d)
-    convexity = float(sum(
-        w * kl_gaussian_exact(m, c, zero, eye)
-        for w, m, c in zip(spec.weights, spec.means, spec.covs)))
-    return KlUpperBound(bound=_kl_closed_form(spectral_summary(spec), d),
-                        convexity_bound=convexity)
+    summ = spectral_summary(spec)
+    per = 0.5 * (spec.eigvals.sum(axis=1) + np.sum(spec.means ** 2, axis=1) - d - spec.log_dets)
+    return KlUpperBound(
+        bound=float(0.5 * (-summ.log_det_min + d * summ.sigma_max + summ.mu_max - d)),
+        convexity_bound=float(spec.weights @ np.maximum(per, 0.0)))
 
 
 def _mean_distances(spec_t: GmmSpec, a_t: float, x) -> np.ndarray:
@@ -315,9 +307,6 @@ def bound_report(spec0: GmmSpec, t: float, calibration_samples: int = 20000,
     summ = spectral_summary(spec_t)
     lip = lipschitz_constant(summ, params, spec0.dim)
     mom = second_moment(spec0)
-    # the closed form alone: the convexity bound's per-component
-    # factorizations would be thrown away
-    kl_upper = _kl_closed_form(spectral_summary(spec0), spec0.dim)
     return BoundReport(t=t, L=lip.value, log_L=lip.log_value,
-                       m2=mom.m2, M2=mom.M2, kl_upper=kl_upper,
+                       m2=mom.m2, M2=mom.M2, kl_upper=kl_to_standard_upper(spec0).bound,
                        summary=summ, params=params)

@@ -40,6 +40,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
+# the type argparse gives each RunConfig field (an int is a float too)
+_ARG_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
+              "float | None": (int, float, type(None)), "list": (list,)}
+
 
 @dataclass
 class RunConfig:
@@ -75,6 +79,12 @@ class RunConfig:
             raise ValueError(f"--seed must be a non-negative integer, got {self.seed!r}")
         if type(self.threads) is not int or self.threads < 1:
             raise ValueError(f"--threads must be an integer >= 1, got {self.threads!r}")
+        for name, f in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            items = value if type(value) is list else []
+            if (type(value) not in _ARG_TYPES[f.type]
+                    or any(type(v) not in (int, float) for v in items)):
+                raise ValueError(f"{name} must be of type {f.type}, got {value!r}")
 
     def to_json(self) -> str:
         return json.dumps({"command": self.command, "config": asdict(self)},

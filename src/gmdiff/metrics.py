@@ -100,8 +100,6 @@ class HistogramGrid:
 
 def default_histogram_grid(spec: GmmSpec, bins: int = 200) -> HistogramGrid:
     """A grid covering every component mean plus 6 marginal deviations."""
-    if spec.dim > 3:
-        raise DimensionTooHigh("histogram grids support at most 3 dimensions")
     sd = np.sqrt(np.diagonal(spec.covs, axis1=1, axis2=2))   # (k, d)
     lo = (spec.means - 6.0 * sd).min(axis=0)
     hi = (spec.means + 6.0 * sd).max(axis=0)
@@ -412,7 +410,7 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
         ok, rule = vals > 0, "positive"
     if not np.all(ok & np.isfinite(vals)):
         raise ValueError(f"{axis} sweep values must be finite {rule}, got {list(values)}")
-    reference = spec0 if delta == 0.0 else marginal_at(spec0, delta)
+    reference = marginal_at(spec0, delta)
     grid = default_histogram_grid(reference, bins)
     children = np.random.SeedSequence(seed).spawn(len(values))
 

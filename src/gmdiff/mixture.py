@@ -4,9 +4,9 @@ All per-component quantities are computed in log space and combined with
 log-sum-exp, so well-separated components (60 sigma and beyond) never
 underflow intermediate products. The one exception is the product-mesh
 density behind the histogram reference, which sums its terms in linear
-space (see _mesh_density). Covariances are Cholesky-checked and
-eigendecomposed once at validation time; singular (PSD-but-rank-deficient)
-matrices are rejected rather than regularized.
+space (see _mesh_density). Covariances are eigendecomposed once at
+validation time and judged positive definite on those eigenvalues alone;
+singular (PSD-but-rank-deficient) matrices are rejected, not regularized.
 
 Every pointwise operation accepts either a single point of shape (d,)
 or a batch of shape (n, d) and vectorizes over the batch in blocks of
@@ -36,6 +36,8 @@ from .samples import SampleBatch
 
 _SYM_TOL = 1e-10
 _WEIGHT_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # elements of each (k, d, block) kernel temporary: 512 KB whatever the
 # batch size and the dimension
 _BLOCK_ELEMENTS = 2 ** 16
@@ -65,10 +67,14 @@ class GmmSpec:
                   eigvals: np.ndarray, eigvecs: np.ndarray) -> "GmmSpec":
         """The spec with covs = Q diag(lam) Q^T, built without factorizing:
         precisions Q diag(1/lam) Q^T (symmetrized), log-dets sum log lam.
-        Raises NotPositiveDefinite unless every eigenvalue is positive."""
-        if not eigvals[:, 0].min() > 0.0:
-            raise NotPositiveDefinite(f"component {int(np.argmin(eigvals[:, 0]))}: "
-                                      "covariance has an eigenvalue that is not positive")
+        The one positive-definiteness decision: NotPositiveDefinite unless
+        lam_min > max(d eps lam_max, tiny) for every component (a NaN fails),
+        that is numpy.linalg.matrix_rank's tolerance and a finite 1/lam."""
+        floor = np.maximum(means.shape[1] * _EPS * eigvals[:, -1], _TINY)
+        if not (eigvals[:, 0] > floor).all():
+            i = int(np.argmin(eigvals[:, 0] > floor))
+            raise NotPositiveDefinite(f"component {i}: covariance is not positive definite: "
+                                      f"eigenvalue {eigvals[i, 0]:.3g} <= {floor[i]:.3g}")
         inv_covs = (eigvecs / eigvals[:, None, :]) @ np.swapaxes(eigvecs, 1, 2)
         inv_covs = 0.5 * (inv_covs + np.swapaxes(inv_covs, 1, 2))
         return cls(dim=means.shape[1], weights=weights, means=means, covs=covs,
@@ -117,7 +123,7 @@ def validate_spec(raw) -> GmmSpec:
         return raw
     declared_dim = raw.get("dim") if isinstance(raw, Mapping) else None
     try:
-        triples = ([(c["weight"], c["mean"], c["cov"]) for c in raw.get("components", [])]
+        triples = ([_mapped_triple(i, c) for i, c in enumerate(raw.get("components", []))]
                    if isinstance(raw, Mapping) else [tuple(item) for item in raw])
     except TypeError:
         raise MalformedSpec('a spec is {"dim": d, "components": [{"weight", "mean", '
@@ -151,10 +157,9 @@ def validate_spec(raw) -> GmmSpec:
 
     if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
         raise WeightsDoNotSumToOne(f"weights sum to {weights.sum()!r}, expected 1")
-    if np.any(weights <= 0.0) or np.any(weights >= 1.0 + _WEIGHT_TOL):
-        # k=1 legitimately has weight exactly 1
-        if not (len(weights) == 1 and abs(weights[0] - 1.0) <= _WEIGHT_TOL):
-            raise WeightsDoNotSumToOne(f"each weight must lie in (0,1], got {weights!r}")
+    if np.any(weights <= 0.0):
+        # with the sum within _WEIGHT_TOL of 1, no positive weight exceeds 1 + _WEIGHT_TOL
+        raise WeightsDoNotSumToOne(f"each weight must lie in (0,1], got {weights!r}")
 
     covs = np.stack(covs)
     asym = np.max(np.abs(covs - np.swapaxes(covs, 1, 2)), axis=(1, 2)) > _SYM_TOL
@@ -162,17 +167,15 @@ def validate_spec(raw) -> GmmSpec:
         raise NonSymmetricCovariance(
             f"component {int(np.argmax(asym))}: covariance is not symmetric")
     covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-    try:
-        np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        for i, c in enumerate(covs):
-            try:
-                np.linalg.cholesky(c)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(
-                    f"component {i}: covariance is not positive definite") from None
-        raise
     return GmmSpec.from_eigh(weights, np.stack(means), covs, *np.linalg.eigh(covs))
+
+
+def _mapped_triple(i: int, c) -> tuple:
+    """(weight, mean, cov) of on-disk component i; a missing key is MalformedSpec."""
+    try:
+        return c["weight"], c["mean"], c["cov"]
+    except KeyError as exc:
+        raise MalformedSpec(f"component {i}: missing field {exc.args[0]!r}") from None
 
 
 def _spec_field(i: int, name: str, value) -> np.ndarray:

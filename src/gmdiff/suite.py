@@ -36,9 +36,7 @@ def random_spec(d: int, k: int, rng: np.random.Generator,
         mean = rng.normal(scale=mean_scale, size=d)
         eigs = rng.uniform(eig_range[0], eig_range[1], size=d)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        cov = (q * eigs) @ q.T
-        cov = 0.5 * (cov + cov.T)
-        triples.append((weights[i], mean, cov))
+        triples.append((weights[i], mean, (q * eigs) @ q.T))
     return validate_spec(triples)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from gmdiff.errors import (
     ParamsOutOfRange,
     TooFewSamples,
 )
-from gmdiff.mixture import log_density, sample_array
+from gmdiff.mixture import GmmSpec, log_density, sample_array
 from gmdiff.samples import SampleBatch
 
 from conftest import make_random_spec
@@ -85,10 +86,6 @@ class TestSpectralSummary:
         assert s.det_min == 0.0
         assert s.log_det_min == pytest.approx(400 * math.log(0.01), rel=1e-12)
 
-    def test_log_det_min_defaults_to_log_of_det_min(self):
-        s = SpectralSummary(sigma_min=0.5, sigma_max=2.0, det_min=0.7, mu_max=1.0)
-        assert s.log_det_min == math.log(0.7)
-
     def test_det_bounds_invariant(self):
         spec = make_random_spec(3, 4, seed=78)
         s = spectral_summary(spec)
@@ -103,19 +100,19 @@ class TestLipschitzConstant:
         # the 0.1 endpoint is outside the open parameter range, so evaluate
         # 1e-12 inside it (the formula is Lipschitz in beta and gamma there,
         # shifting L by under 1e-8)
-        summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, det_min=1.0, mu_max=0.0)
+        summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, log_det_min=math.log(1.0), mu_max=0.0)
         params = ConditionParams(R=1.0, beta=0.1 - 1e-12, log_gamma=math.log(0.1 - 1e-12))
         L = lipschitz_constant(summ, params, 1)
         assert L.value == pytest.approx(112.06274039572976, rel=1e-9)
         assert L.log_value == pytest.approx(math.log(L.value), rel=1e-12)
 
     def test_strictly_above_inverse_sigma_min(self):
-        summ = SpectralSummary(sigma_min=0.5, sigma_max=2.0, det_min=0.7, mu_max=1.0)
+        summ = SpectralSummary(sigma_min=0.5, sigma_max=2.0, log_det_min=math.log(0.7), mu_max=1.0)
         params = ConditionParams(R=3.0, beta=0.05, log_gamma=math.log(0.02))
         assert lipschitz_constant(summ, params, 2).value > 1.0 / 0.5
 
     def test_decreases_toward_inverse_sigma_min_in_dimension(self):
-        summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, det_min=1.0, mu_max=0.0)
+        summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, log_det_min=math.log(1.0), mu_max=0.0)
         params = ConditionParams(R=1.0, beta=0.05, log_gamma=math.log(0.05))
         values = [lipschitz_constant(summ, params, d).value for d in (1, 5, 20, 100)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -123,7 +120,7 @@ class TestLipschitzConstant:
 
     def test_log_space_survives_large_dimension(self):
         # (2 pi)^{-d} underflows around d ~ 250; log_value must stay exact
-        summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, det_min=1.0, mu_max=0.0)
+        summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, log_det_min=math.log(1.0), mu_max=0.0)
         params = ConditionParams(R=1.0, beta=0.05, log_gamma=math.log(0.05))
         L = lipschitz_constant(summ, params, 600)
         assert math.isfinite(L.log_value)
@@ -132,14 +129,14 @@ class TestLipschitzConstant:
 
     def test_overflowing_value_is_inf_with_finite_log(self):
         # at d = 400 a tiny density floor puts L far past the double range
-        summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, det_min=1.0, mu_max=0.0)
+        summ = SpectralSummary(sigma_min=1.0, sigma_max=1.0, log_det_min=math.log(1.0), mu_max=0.0)
         params = ConditionParams(R=4.0, beta=0.05, log_gamma=math.log(1e-300))
         L = lipschitz_constant(summ, params, 400)
         assert L.value == math.inf
         assert math.isfinite(L.log_value) and L.log_value > 709.8
 
     def test_underflowed_determinant_uses_its_log(self):
-        summ = SpectralSummary(sigma_min=0.01, sigma_max=0.01, det_min=0.0, mu_max=0.0,
+        summ = SpectralSummary(sigma_min=0.01, sigma_max=0.01, mu_max=0.0,
                                log_det_min=400 * math.log(0.01))
         params = ConditionParams(R=3.0, beta=0.05, log_gamma=math.log(0.05))
         L = lipschitz_constant(summ, params, 400)
@@ -147,7 +144,7 @@ class TestLipschitzConstant:
 
     @pytest.mark.parametrize("gamma", [1e-150, 1e-20, 0.05])
     def test_finite_value_keeps_linear_sum(self, gamma):
-        summ = SpectralSummary(sigma_min=0.5, sigma_max=2.0, det_min=0.7, mu_max=1.0)
+        summ = SpectralSummary(sigma_min=0.5, sigma_max=2.0, log_det_min=math.log(0.7), mu_max=1.0)
         params = ConditionParams(R=3.0, beta=0.05, log_gamma=math.log(gamma))
         L = lipschitz_constant(summ, params, 3)
         log_pair = np.logaddexp(-3 * math.log(2 * math.pi) - math.log(0.7),
@@ -262,6 +259,35 @@ class TestKlToStandardUpper:
         vals = np.asarray(log_density(spec, pts)) - np.asarray(log_density(ref, pts))
         se = vals.std(ddof=1) / math.sqrt(n)
         assert vals.mean() <= res.bound + 4.0 * se
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 50])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_convexity_bound_is_the_exact_component_kl(self, d, k):
+        # read off the eigenvalues, it matches the factorized per-component KL
+        spec = make_random_spec(d, k, seed=10 * d + k)
+        exact = sum(w * kl_gaussian_exact(m, c, np.zeros(d), np.eye(d))
+                    for w, m, c in zip(spec.weights, spec.means, spec.covs))
+        assert kl_to_standard_upper(spec).convexity_bound == pytest.approx(exact, rel=1e-12)
+
+
+def test_validation_and_bounds_factorize_only_to_sample(monkeypatch):
+    # positive definiteness and both KL bounds come from the cached
+    # eigendecomposition; only GmmSpec.chols, which sampling reads, may
+    # call np.linalg.cholesky
+    specs = lipschitz_suite(2024)
+    raws = [spec.to_dict() for spec in specs]
+    real, sampling = np.linalg.cholesky, GmmSpec.__dict__["chols"].func.__code__
+
+    def cholesky(a, *args, **kwargs):
+        if sys._getframe(1).f_code is not sampling:
+            raise AssertionError("np.linalg.cholesky called outside GmmSpec.chols")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    for raw, spec in zip(raws, specs):
+        validate_spec(raw)
+        kl_to_standard_upper(spec)
+        bound_report(spec, 0.5, calibration_samples=1000, seed=1)
 
 
 class TestRegionCheck:

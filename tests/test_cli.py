@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +123,11 @@ class TestBoundsCommand:
         (["ab"], "component 0: expected a (weight, mean, cov) triple"),
         ([[1.0, [0.0], [[1.0]]], [0.5, [0.0], [[1.0]], 7]],
          "component 1: expected a (weight, mean, cov) triple"),
+        ({"dim": 1, "components": [{"weight": 1.0, "cov": [[1.0]]}]},
+         "component 0: missing field 'mean'"),
     ], ids=["true", "null", "-1", "[1e308]", "weight-null", "weight-nested",
-            "mean-object", "cov-object", "dim-list", "pair", "string", "four-items"])
+            "mean-object", "cov-object", "dim-list", "pair", "string", "four-items",
+            "mean-missing"])
     def test_malformed_spec_exit_2_without_output(self, tmp_path, capsys, raw, where):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
@@ -132,6 +136,26 @@ class TestBoundsCommand:
         assert rc == 2
         assert where in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cov", [
+        # v v^T for v = (0.7, 0.2): rank 1, but a Cholesky of the float product
+        # succeeds, and the report certified L = 1.25e52
+        [[0.48999999999999994, 0.13999999999999999],
+         [0.13999999999999999, 0.04000000000000001]],
+        # subnormal: its precision overflows
+        [[1e-310]],
+    ], ids=["rank-one", "subnormal"])
+    def test_singular_covariance_exit_2_without_output(self, tmp_path, capsys, cov):
+        bad = tmp_path / "singular.json"
+        bad.write_text(json.dumps([[1.0, [0.0] * len(cov), cov]]))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["bounds", "--spec", str(bad), "--out", str(out), "--seed", "1"])
+        assert rc == 2
+        assert "component 0: covariance is not positive definite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_nan_weight_exit_2_without_samples(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"

