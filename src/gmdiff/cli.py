@@ -43,6 +43,14 @@ EXIT_INTERNAL = 4
 # the type argparse gives each RunConfig field (an int is a float too)
 _ARG_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
               "float | None": (int, float, type(None)), "list": (list,)}
+# each command's choice-valued options; argparse and RunConfig (which
+# replayed configs reach without argparse) both read them
+CHOICES = {
+    "bounds": {},
+    "sample": {"solver": ("em", "ei", "dpom", "dpum"), "schedule": ("uniform", "expdecay")},
+    "verify": {"suite": ("score", "lipschitz", "mixture", "solver")},
+    "sweep": {"axis": ("N", "epsilon0"), "solver": ("em", "ei")},
+}
 
 
 @dataclass
@@ -85,6 +93,12 @@ class RunConfig:
             if (type(value) not in _ARG_TYPES[f.type]
                     or any(type(v) not in (int, float) for v in items)):
                 raise ValueError(f"{name} must be of type {f.type}, got {value!r}")
+        if self.command not in CHOICES:
+            raise ValueError(f"command must be one of {list(CHOICES)}, got {self.command!r}")
+        for name, allowed in CHOICES[self.command].items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {list(allowed)} for "
+                                 f"{self.command}, got {getattr(self, name)!r}")
 
     def to_json(self) -> str:
         return json.dumps({"command": self.command, "config": asdict(self)},
@@ -111,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a reverse-process sampler")
     _add_common(p)
-    p.add_argument("--solver", choices=["em", "ei", "dpom", "dpum"], default="ei")
-    p.add_argument("--schedule", choices=["uniform", "expdecay"], default="uniform")
+    p.add_argument("--solver", choices=CHOICES["sample"]["solver"], default="ei")
+    p.add_argument("--schedule", choices=CHOICES["sample"]["schedule"], default="uniform")
     p.add_argument("--T", type=float, default=6.0)
     p.add_argument("--N", type=int, default=1024)
     p.add_argument("--delta", type=float, default=0.0)
@@ -126,15 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     _add_common(p)
-    p.add_argument("suite", choices=["score", "lipschitz", "mixture", "solver"])
+    p.add_argument("suite", choices=CHOICES["verify"]["suite"])
     p.add_argument("--T", type=float, default=1.5,
                    help="time for the mixture suite's forward check")
 
     p = sub.add_parser("sweep", help="convergence sweep over N or epsilon0")
     _add_common(p)
-    p.add_argument("axis", choices=["N", "epsilon0"])
+    p.add_argument("axis", choices=CHOICES["sweep"]["axis"])
     p.add_argument("--values", type=float, nargs="+", required=True)
-    p.add_argument("--solver", choices=["em", "ei"], default="ei")
+    p.add_argument("--solver", choices=CHOICES["sweep"]["solver"], default="ei")
     p.add_argument("--T", type=float, default=8.0)
     p.add_argument("--N", type=int, default=8192,
                    help="fixed N for epsilon0 sweeps")

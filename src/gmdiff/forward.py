@@ -31,10 +31,14 @@ def ou_coefficients(t: float) -> OuCoefficients:
     """(e^{-t}, sqrt(1 - e^{-2t})) for t >= 0.
 
     b uses expm1 so that b ~ sqrt(2t) keeps full precision for small t.
+    A subnormal a is kept; ZeroScale once a underflows to 0.
     """
     if not math.isfinite(t) or t < 0.0:
         raise NegativeTime(f"time must be finite and >= 0, got {t!r}")
     a = math.exp(-t)
+    if a == 0.0:
+        raise ZeroScale(f"time {float(t)!r}: the scale a(t) = e^-t underflows to 0 "
+                        "past t of about 745.1")
     b = math.sqrt(-math.expm1(-2.0 * t))
     return OuCoefficients(a=a, b=b, t=t)
 

@@ -383,26 +383,39 @@ def sample(spec: GmmSpec, n: int, seed: int) -> SampleBatch:
 
 
 def sample_array(spec: GmmSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw (n, d) mixture draws using the caller's generator.
+    """Raw (n, d) mixture draws using the caller's generator, C-ordered.
 
-    One stable sort groups the draws by component, so each component
-    transforms one contiguous run of its rows in their original order
-    before the points go back to draw order.
+    Bit for bit rng.choice(k, n, p=weights) labels, a standard_normal
+    (n, d) block and mu_i + L_i xi, and rng ends in the same state. A label
+    counts the thresholds cdf[j] <= u over choice's own uniforms, in k - 1
+    passes that also count each component. A stable sort groups the rows,
+    so each component takes one row-major matmul xi @ L_i^T (the (d, n)
+    layout rounds differently at d >= 12); the means are added to the whole
+    block, not along rows of length d, and one gather restores draw order.
     """
-    idx = rng.choice(spec.k, size=n, p=spec.weights)
+    cdf = np.cumsum(spec.weights)
+    cdf /= cdf[-1]
+    u = rng.random(n)
     xi = rng.standard_normal((n, spec.dim))
     if spec.k == 1:
         return spec.means[0] + xi @ spec.chols[0].T
     # the radix sort on the narrowest label dtype: uint8 sorts 20000
     # labels in a tenth of the int64 time
-    order = np.argsort(idx.astype(np.min_scalar_type(spec.k - 1)), kind="stable")
+    labels = np.zeros(n, np.min_scalar_type(spec.k - 1))
+    ends = []
+    for c in cdf[:-1].tolist():
+        above = u >= c
+        labels += above
+        ends.append(n - np.count_nonzero(above))
+    ends.append(n)
+    order = np.argsort(labels, kind="stable")
     # np.take gathers rows an order of magnitude faster than xi[order]
     grouped = np.take(xi, order, axis=0)
     lo = 0
-    for i, hi in enumerate(np.cumsum(np.bincount(idx, minlength=spec.k)).tolist()):
-        if hi > lo:
-            grouped[lo:hi] = spec.means[i] + grouped[lo:hi] @ spec.chols[i].T
+    for i, hi in enumerate(ends):
+        grouped[lo:hi] = grouped[lo:hi] @ spec.chols[i].T
         lo = hi
+    grouped += np.repeat(spec.means, np.diff(ends, prepend=0), axis=0)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(n)
     return np.take(grouped, inverse, axis=0)

@@ -9,6 +9,7 @@ schedule is seen as shrinking steps toward the data end.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,13 @@ def check_grid_args(T: float, N: int, delta: float = 0.0, K: float = 1.0) -> Non
 def uniform_grid(T: float, N: int, delta: float = 0.0) -> TimeGrid:
     """Equally spaced points from delta to T, h = (T - delta) / N."""
     check_grid_args(T, N, delta)
-    pts = np.linspace(delta, T, N + 1)
+    # past 2^63 points numpy refuses without allocating: ValueError, or
+    # IndexError below 2^64, where its arange comes back empty
+    try:
+        pts = np.linspace(delta, T, N + 1)
+    except (ValueError, IndexError, MemoryError) as exc:
+        raise InvalidHorizon(f"N={reprlib.repr(N)} needs N + 1 grid points, more than can "
+                             f"be allocated ({exc})") from exc
     return TimeGrid(points=pts, T=T, delta=delta)
 
 

@@ -429,6 +429,67 @@ def test_fractional_seed_in_replayed_config_exit_2(spec_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"solver": "xx"}, "solver"),
+    ({"schedule": "xx"}, "schedule"),
+    ({"solver": "EI"}, "solver"),
+    ({"command": "verify", "suite": "xx"}, "suite"),
+    ({"command": "sweep", "axis": "xx", "values": [1, 2, 4, 8]}, "axis"),
+    # a sample solver the sweep parser does not offer
+    ({"command": "sweep", "solver": "dpum", "values": [1, 2, 4, 8]}, "solver"),
+    ({"command": "xx"}, "command"),
+])
+def test_out_of_choice_value_in_replayed_config_exit_2(spec_file, tmp_path, capsys,
+                                                        config, key):
+    """argparse's choices are checked again on replay: no fall-through to
+    another solver or schedule."""
+    rc, out = _replay_config(tmp_path, spec_file, **config)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be one of ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, time", [
+    (["sample", "--T", "800", "--n", "50", "--N", "4"], "800.0"),
+    (["sample", "--T", "1e300", "--n", "50", "--N", "4"], "1e+300"),
+    (["bounds", "--t-list", "800"], "800.0"),
+])
+def test_horizon_past_scale_underflow_exit_2(spec_file, tmp_path, capsys, argv, time):
+    out = tmp_path / "o"
+    rc = main([*argv, "--spec", spec_file, "--out", str(out), "--seed", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: time {time}: ")
+    assert "underflows to 0 past t of about 745.1" in err
+    assert not (out / "run.meta.json").exists()
+
+
+def test_horizon_with_subnormal_scale_runs(spec_file, tmp_path):
+    """a(740) = 4.2e-322 is subnormal but positive: the run is valid."""
+    out = tmp_path / "o"
+    assert main(["sample", "--spec", spec_file, "--out", str(out), "--seed", "1",
+                 "--T", "740", "--n", "50", "--N", "1024"]) == 0
+    assert (out / "run.meta.json").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    # 1e300 passes the integer check, so the grid itself refuses it
+    (["sweep", "N", "--values", "1e300", "2", "3", "4", "--n", "50"], "N=1000000000"),
+    (["sample", "--N", str(2 ** 63), "--n", "50"], f"N={2 ** 63}"),
+    (["sample", "--N", str(2 ** 64), "--n", "50"], f"N={2 ** 64}"),
+])
+def test_grid_past_numpy_size_limit_names_n(spec_file, tmp_path, capsys, argv, named):
+    """More than 2^63 grid points: numpy refuses before allocating, and the
+    error names N rather than numpy's size limit alone."""
+    out = tmp_path / "o"
+    rc = main([*argv, "--spec", spec_file, "--out", str(out), "--seed", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and "more than can be allocated" in err
+    assert not (out / "run.meta.json").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_sweep_threads_below_one_exit_2(spec_file, tmp_path, capsys, threads):
     out = tmp_path / "o"

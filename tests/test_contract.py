@@ -7,9 +7,11 @@ no run.meta.json behind.
   whose items are not (weight, mean, cov) triples. It exits 0 or 2.
 - `gmdiff sample` and `gmdiff sweep` with flag values drawn from nan,
   +-inf, 0, -1, tiny, huge and fractional, and `gmdiff replay` of configs
-  with such values (or wrong types) in one or two keys. They exit 0, 2 or
-  3: a huge but finite epsilon0 or step is a valid run whose chains
-  diverge, the numerical-failure exit.
+  with such values (or wrong types, or strings outside a key's parser
+  choices) in one or two keys. They exit 0, 2 or 3: a huge but finite
+  epsilon0 or step is a valid run whose chains diverge, the
+  numerical-failure exit. An out-of-choice solver, schedule or axis
+  exits 2.
 
 The counts of chains, steps, corrector steps and bins are capped, so an
 accepted draw costs milliseconds, and --threads stays within {-3, 0, 1, 2}.
@@ -141,14 +143,25 @@ def sweep_flags(axis: str):
     return flags(["sweep", axis], valid, bad)
 
 
+# the parser's choices per command; a replayed config holding any other
+# value in one of these keys must exit 2, not fall through to another solver
+PARSER_CHOICES = {
+    "sample": {"solver": ("em", "ei", "dpom", "dpum"), "schedule": ("uniform", "expdecay")},
+    "sweep": {"solver": ("em", "ei"), "axis": ("N", "epsilon0")},
+}
+# strings outside those choices; dpum is a sample solver, not a sweep one
+OUT_OF_CHOICE = ["xx", "EI", "uniform ", "dpum"]
+
+
 @st.composite
 def replayed_config(draw):
     """A small valid sample or sweep config with one or two keys set to a
-    bad JSON value or deleted."""
+    bad JSON value (a choice key also to an out-of-choice string) or
+    deleted."""
     config = {"spec": ANCHOR, "out": "replaced by --out", "seed": 1, "T": 2.0, "N": 4,
               "n": 3, "corr_steps": 1, "bins": 10, "threads": 1}
     if draw(st.booleans()):
-        config.update(command="sample",
+        config.update(command="sample", schedule="uniform",
                       solver=draw(st.sampled_from(["em", "ei", "dpom", "dpum"])))
     else:
         config.update(command="sweep", solver="ei", axis="N", values=[1, 2, 4, 8])
@@ -156,9 +169,18 @@ def replayed_config(draw):
         key = draw(st.sampled_from(sorted(config)))
         if _one_in(draw, 6):
             del config[key]
+        elif key in ("solver", "schedule", "axis") and draw(st.booleans()):
+            config[key] = draw(st.sampled_from(OUT_OF_CHOICE))
         else:
             config[key] = draw(st.sampled_from(BAD_JSON))
     return config
+
+
+def _out_of_choice(config) -> bool:
+    command = config.get("command")
+    choices = PARSER_CHOICES.get(command, {}) if isinstance(command, str) else {}
+    return any(key in config and config[key] not in allowed
+               for key, allowed in choices.items())
 
 
 def _exit_code(argv) -> int:
@@ -195,5 +217,5 @@ def test_replayed_config_exits_0_2_or_3(config):
         meta, out = Path(tmp) / "run.meta.json", Path(tmp) / "out"
         meta.write_text(json.dumps({"command": config.get("command"), "config": config}))
         rc = _exit_code(["replay", str(meta), "--out", str(out)])
-        assert rc in (0, 2, 3)
+        assert rc in ((2,) if _out_of_choice(config) else (0, 2, 3))
         assert (out / "run.meta.json").exists() == (rc == 0)

@@ -48,6 +48,17 @@ class TestOuCoefficients:
         with pytest.raises(NegativeTime):
             ou_coefficients(-0.1)
 
+    def test_subnormal_scale_kept(self):
+        c = ou_coefficients(745.13)
+        assert c.a == 5e-324 and c.b == 1.0
+
+    @pytest.mark.parametrize("t", [745.2, 800.0, 1e300])
+    def test_underflowing_scale_names_the_time(self, t):
+        with pytest.raises(ZeroScale) as info:
+            ou_coefficients(t)
+        assert str(info.value).startswith(f"time {t!r}: ")
+        assert "underflows to 0 past t of about 745.1" in str(info.value)
+
     @given(times)
     @settings(max_examples=100, deadline=None)
     def test_unit_circle_identity(self, t):

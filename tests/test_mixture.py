@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,9 +26,11 @@ from gmdiff.errors import (
     WeightsDoNotSumToOne,
 )
 from gmdiff import mixture
+from gmdiff.forward import marginal_at
 from gmdiff.metrics import default_histogram_grid, moment_diagnostics
 from gmdiff.schedules import uniform_grid
 from gmdiff.solvers import FourierField, make_score_model
+from gmdiff.suite import standard_mixture_1d, standard_normal_spec
 from gmdiff.verify import fd_jacobian
 
 from conftest import make_random_spec, naive_density
@@ -539,6 +542,58 @@ class TestSample:
             pts = mixture.sample_array(spec, n, np.random.default_rng(n + k))
             assert pts.shape == (n, d)
             assert pts.tobytes() == ref.tobytes()
+
+
+def _choice_sorted_draws(spec, n, rng):
+    """The reference draws: Generator.choice labels, one stable sort and
+    the row-major mu_i + xi @ L_i^T on each component's run of rows."""
+    idx = rng.choice(spec.k, size=n, p=spec.weights)
+    xi = rng.standard_normal((n, spec.dim))
+    order = np.argsort(idx, kind="stable")
+    grouped = xi[order]
+    lo = 0
+    for i, hi in enumerate(np.cumsum(np.bincount(idx, minlength=spec.k)).tolist()):
+        grouped[lo:hi] = spec.means[i] + grouped[lo:hi] @ spec.chols[i].T
+        lo = hi
+    pts = np.empty_like(grouped)
+    pts[order] = grouped
+    return pts
+
+
+PINNED_SPECS = {
+    **{f"suite{i}-t{t}": (lambda i=i, t=t: marginal_at(lipschitz_suite(2024)[i], t))
+       for i in range(6) for t in (0.0, 0.5, 2.0)},
+    "anchor": standard_mixture_1d,
+    **{f"normal-d{d}": (lambda d=d: standard_normal_spec(d)) for d in (1, 2, 50)},
+    "random-k8-d3": lambda: make_random_spec(3, 8, seed=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+def test_draws_pinned_bit_for_bit_to_choice_reference(name):
+    """sample_array returns the reference's bits, C-ordered, and leaves the
+    generator where the reference leaves it."""
+    spec = PINNED_SPECS[name]()
+    for n in (1, 2, 7, 1000, 20000, 20001):
+        ref_rng, rng = np.random.default_rng(n), np.random.default_rng(n)
+        ref = _choice_sorted_draws(spec, n, ref_rng)
+        pts = mixture.sample_array(spec, n, rng)
+        assert pts.shape == (n, spec.dim) and pts.flags.c_contiguous
+        assert np.array_equal(pts.view(np.uint64), ref.view(np.uint64))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("name", ["anchor", "suite5-t0.5", "random-k8-d3"])
+def test_sample_writes_the_reference_csv_bytes(name, tmp_path):
+    spec = PINNED_SPECS[name]()
+    batch = sample(spec, 1000, seed=3)
+    batch.to_csv(tmp_path / "sample.csv")
+    ref = _choice_sorted_draws(spec, 1000, np.random.default_rng(3))
+    dataclasses.replace(batch, points=ref).to_csv(tmp_path / "ref.csv")
+    for suffix in (".csv", ".meta.json"):
+        assert ((tmp_path / "sample").with_suffix(suffix).read_bytes()
+                == (tmp_path / "ref").with_suffix(suffix).read_bytes())
 
 
 @pytest.mark.parametrize("make", [

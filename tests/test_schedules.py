@@ -30,6 +30,12 @@ class TestUniformGrid:
         with pytest.raises(InvalidHorizon):
             uniform_grid(1.0, 0)
 
+    @pytest.mark.parametrize("N", [2 ** 63, 2 ** 64, int(1e300), 10 ** 400])
+    def test_unallocatable_grid_names_n(self, N):
+        # past 2^63 points numpy refuses before allocating anything
+        with pytest.raises(InvalidHorizon, match=r"^N=\d+.* more than can be allocated"):
+            uniform_grid(8.0, N)
+
     def test_delta_out_of_range(self):
         with pytest.raises(DeltaExceedsHorizon):
             uniform_grid(1.0, 4, delta=1.0)
