@@ -28,7 +28,6 @@ from .metrics import (
 )
 from .mixture import (
     GmmSpec,
-    Responsibilities,
     density,
     log_density,
     responsibilities,
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "ConditionParams", "GmmSpec",
-    "HistogramGrid", "OuCoefficients", "Responsibilities", "SampleBatch",
+    "HistogramGrid", "OuCoefficients", "SampleBatch",
     "ScoreModel", "SpectralSummary", "SweepResult", "TimeGrid",
     "affine_push", "bound_report", "calibrate_region", "convergence_sweep",
     "default_histogram_grid", "density", "exp_decay_grid",

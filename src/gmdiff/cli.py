@@ -33,7 +33,7 @@ from .metrics import convergence_sweep
 from .mixture import GmmSpec
 from .schedules import check_grid_args, exp_decay_grid, uniform_grid
 from .solvers import make_score_model, run_predictor_corrector, run_sampler
-from .verify import run_suite
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -48,7 +48,7 @@ _ARG_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
 CHOICES = {
     "bounds": {},
     "sample": {"solver": ("em", "ei", "dpom", "dpum"), "schedule": ("uniform", "expdecay")},
-    "verify": {"suite": ("score", "lipschitz", "mixture", "solver")},
+    "verify": {"suite": tuple(SUITES)},
     "sweep": {"axis": ("N", "epsilon0"), "solver": ("em", "ei")},
 }
 
@@ -219,7 +219,7 @@ def cmd_sample(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
 
 def cmd_verify(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     kwargs = {"t": cfg.T} if cfg.suite == "mixture" else {}
-    checks = run_suite(cfg.suite, spec, seed=cfg.seed, **kwargs)
+    checks = SUITES[cfg.suite](spec, seed=cfg.seed, **kwargs)
     payload = [c.to_dict() for c in checks]
     (out_dir / "verify.json").write_text(json.dumps(payload, indent=2) + "\n")
     all_ok = all(c.passed for c in checks)
@@ -242,11 +242,18 @@ def cmd_sweep(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
 
 def cmd_replay(meta_path: str, out_override: str | None) -> int:
     payload = json.loads(Path(meta_path).read_text())
+    if not (isinstance(payload, dict) and "config" in payload):
+        raise ValueError(f"{meta_path}: no 'config' key to replay")
     try:
         cfg = RunConfig(**payload["config"])
     except TypeError as exc:
-        # an unknown or missing key, or a config that is not a mapping
+        # an unknown or missing required key, or a config that is not a mapping
         raise ValueError(f"{meta_path}: invalid config: {exc}") from None
+    # run.meta.json records every field; a default here would be the sample
+    # command's, not the replayed command's
+    missing = [name for name in RunConfig.__dataclass_fields__ if name not in payload["config"]]
+    if missing:
+        raise ValueError(f"{meta_path}: config is missing {', '.join(missing)}")
     if out_override is not None:
         cfg.out = out_override
     return _run(cfg)

@@ -24,7 +24,6 @@ class OuCoefficients:
 
     a: float
     b: float
-    t: float
 
 
 def ou_coefficients(t: float) -> OuCoefficients:
@@ -40,7 +39,7 @@ def ou_coefficients(t: float) -> OuCoefficients:
         raise ZeroScale(f"time {float(t)!r}: the scale a(t) = e^-t underflows to 0 "
                         "past t of about 745.1")
     b = math.sqrt(-math.expm1(-2.0 * t))
-    return OuCoefficients(a=a, b=b, t=t)
+    return OuCoefficients(a=a, b=b)
 
 
 def affine_push(spec: GmmSpec, a: float, b: float) -> GmmSpec:

@@ -119,7 +119,6 @@ class KlHistogramResult(NamedTuple):
 
 class SpectralProbeResult(NamedTuple):
     max_norm: float
-    argmax_point: np.ndarray
     n_passing: int
 
 
@@ -344,10 +343,7 @@ def jacobian_spectral_probe(spec_t: GmmSpec, points, params: ConditionParams,
         raise NoPointsInRegion("no probe points satisfy the region clauses")
     hess = score_jacobian(spec_t, passing)
     norms = spectral_norms(hess)
-    idx = int(np.argmax(norms))
-    return SpectralProbeResult(max_norm=float(norms[idx]),
-                               argmax_point=passing[idx].copy(),
-                               n_passing=int(passing.shape[0]))
+    return SpectralProbeResult(max_norm=float(norms.max()), n_passing=int(passing.shape[0]))
 
 
 class SweepRow(NamedTuple):

@@ -119,8 +119,6 @@ def validate_spec(raw) -> GmmSpec:
     DimensionMismatch, NonSymmetricCovariance, NotPositiveDefinite or
     WeightsDoNotSumToOne on bad input.
     """
-    if isinstance(raw, GmmSpec):
-        return raw
     declared_dim = raw.get("dim") if isinstance(raw, Mapping) else None
     try:
         triples = ([_mapped_triple(i, c) for i, c in enumerate(raw.get("components", []))]
@@ -189,13 +187,6 @@ def _spec_field(i: int, name: str, value) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteParameter(f"component {i}: {name} must be finite")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Responsibilities:
-    """Per-component posterior weights at a point; each in [0,1], summing to 1."""
-
-    values: np.ndarray
 
 
 def _check_points(spec: GmmSpec, x) -> tuple[np.ndarray, bool]:
@@ -344,9 +335,10 @@ def _mesh_density(spec: GmmSpec, coords) -> np.ndarray:
     return out
 
 
-def responsibilities(spec: GmmSpec, x) -> Responsibilities:
-    """Posterior component weights f_i(x) = alpha_i N_i(x) / sum_j alpha_j N_j(x)."""
-    return Responsibilities(values=_blockwise(spec, x, _responsibilities_block, (spec.k,)))
+def responsibilities(spec: GmmSpec, x) -> np.ndarray:
+    """Posterior component weights f_i(x) = alpha_i N_i(x) / sum_j alpha_j N_j(x):
+    (n, k) for a batch, (k,) for one point; each row in [0, 1], summing to 1."""
+    return _blockwise(spec, x, _responsibilities_block, (spec.k,))
 
 
 def score(spec: GmmSpec, x) -> np.ndarray:

@@ -22,11 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidHorizon, NegativeEpsilon, NonFiniteParameter, NonFiniteState
+from .errors import NegativeEpsilon, NonFiniteParameter, NonFiniteState
 from .forward import marginal_at
 from .mixture import GmmSpec, sample_array, score
 from .samples import SampleBatch
-from .schedules import TimeGrid
+from .schedules import TimeGrid, check_grid_args
 
 _DIVERGENCE_LIMIT = 1e8
 # corrector steps one predictor-corrector run may ask for, over all nodes:
@@ -278,7 +278,7 @@ def _guard(y: np.ndarray, step_index: int, t_forward: float, name: str = "y") ->
         chain = int(np.argmin(np.all(np.abs(y) <= _DIVERGENCE_LIMIT, axis=1)))
         raise NonFiniteState(
             f"chain {chain} diverged ({name}) at step {step_index}, "
-            f"forward time t = {t_forward!r}",
+            f"forward time t = {float(t_forward)!r}",
             step_index=step_index, t_forward=float(t_forward), chain=chain)
 
 
@@ -377,15 +377,12 @@ def run_predictor_corrector(model: ScoreModel, T: float, h_pred: float,
     """
     if variant not in ("overdamped", "underdamped"):
         raise ValueError(f"variant must be 'overdamped' or 'underdamped', got {variant!r}")
-    if not (math.isfinite(T) and T > 0.0):
-        raise InvalidHorizon(f"horizon T must be positive and finite, got {T!r}")
+    check_grid_args(T, 1, delta)
     for name, value in (("h_pred", h_pred), ("h_corr", h_corr)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if not (math.isfinite(friction) and friction >= 0.0):
         raise ValueError(f"friction must be finite and >= 0, got {friction!r}")
-    if not (0.0 <= delta < T):
-        raise ValueError(f"delta must lie in [0, T), got {delta!r}")
     if corr_steps_per_node < 0:
         raise ValueError("corr_steps_per_node must be >= 0")
     span = T - delta

@@ -78,7 +78,7 @@ def score_suite(spec: GmmSpec, n_points: int = 40, seed: int = 7) -> list[CheckR
         fd_h = fd_jacobian(lambda z: score(spec, z), x)
         worst_jac = max(worst_jac, _rel_err(fd_h, score_jacobian(spec, x)))
         worst_resp = max(worst_resp,
-                         abs(float(responsibilities(spec, x).values.sum()) - 1.0))
+                         abs(float(responsibilities(spec, x).sum()) - 1.0))
     return [
         CheckResult("score_vs_finite_difference", worst_score, SCORE_TOL,
                     worst_score <= SCORE_TOL),
@@ -150,9 +150,3 @@ SUITES = {
     "mixture": mixture_suite,
     "solver": solver_suite,
 }
-
-
-def run_suite(name: str, spec: GmmSpec, **kwargs) -> list[CheckResult]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](spec, **kwargs)

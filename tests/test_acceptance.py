@@ -21,7 +21,6 @@ from gmdiff import (
     lipschitz_constant,
     make_score_model,
     marginal_at,
-    moment_diagnostics,
     ou_coefficients,
     run_predictor_corrector,
     run_sampler,
@@ -42,7 +41,7 @@ from gmdiff.fileio import save_spec
 from gmdiff.metrics import convergence_sweep, jacobian_spectral_probe, kl_histogram
 from gmdiff.mixture import log_density, sample_array, score, score_jacobian
 from gmdiff.suite import lipschitz_suite, random_spec
-from gmdiff.verify import fd_jacobian
+from gmdiff.verify import fd_jacobian, mixture_suite
 
 ANCHOR = standard_mixture_1d()
 
@@ -74,21 +73,16 @@ def test_c01_score_and_jacobian_finite_difference_suite():
 
 
 def test_c02_mixture_preservation_under_forward_noising():
-    """Forward Monte Carlo a_t x0 + b_t z against the closed-form marginal:
-    moments within 4 SE at t in {0.1, 1, 3}, and 1D histogram TV <= 0.02."""
-    n = 100000
+    """Forward Monte Carlo a_t x0 + b_t z against the closed-form marginal,
+    through verify.mixture_suite: moments within 4 SE at t in {0.1, 1, 3},
+    and 1D histogram TV <= 0.02 on 100 bins."""
     specs = [ANCHOR, random_spec(2, 3, np.random.default_rng(20250802))]
     for t in (0.1, 1.0, 3.0):
-        coeff = ou_coefficients(t)
         for spec in specs:
-            rng = np.random.default_rng([20250803, int(t * 10), spec.dim])
-            x0 = sample_array(spec, n, rng)
-            pushed = coeff.a * x0 + coeff.b * rng.standard_normal(x0.shape)
-            target = marginal_at(spec, t)
-            assert moment_diagnostics(pushed, target).max_abs_z <= 4.0
-            if spec.dim == 1:
-                grid = default_histogram_grid(target, bins=100)
-                assert tv_histogram(pushed, target, grid) <= 0.02
+            checks = mixture_suite(spec, t=t, n=100000,
+                                   seed=[20250803, int(t * 10), spec.dim])
+            assert len(checks) == (2 if spec.dim == 1 else 1)
+            assert all(c.passed for c in checks), [c.to_dict() for c in checks]
 
 
 def test_c03_lipschitz_bound_holds_on_region():

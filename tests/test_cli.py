@@ -422,6 +422,28 @@ def test_unknown_key_in_replayed_config_exit_2(spec_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_missing_key_in_replayed_config_exit_2(spec_file, tmp_path, capsys):
+    """A sweep recorded without T must not run at the sample default of 6."""
+    out = tmp_path / "sw"
+    assert main(["sweep", "N", "--spec", spec_file, "--out", str(out), "--values", "2", "4",
+                 "8", "16", "--n", "20", "--bins", "10", "--seed", "1"]) == 0
+    meta = json.loads((out / "run.meta.json").read_text())
+    del meta["config"]["T"]
+    (tmp_path / "noT.json").write_text(json.dumps(meta))
+    again = tmp_path / "again"
+    assert main(["replay", str(tmp_path / "noT.json"), "--out", str(again)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'noT.json'}: config is missing T\n"
+    assert not again.exists()
+
+
+@pytest.mark.parametrize("text", ["{}", "[]", '{"command": "sample"}'])
+def test_replayed_file_without_config_exit_2(tmp_path, capsys, text):
+    meta = tmp_path / "run.meta.json"
+    meta.write_text(text)
+    assert main(["replay", str(meta)]) == 2
+    assert capsys.readouterr().err == f"error: {meta}: no 'config' key to replay\n"
+
+
 def test_fractional_seed_in_replayed_config_exit_2(spec_file, tmp_path, capsys):
     rc, out = _replay_config(tmp_path, spec_file, seed=1.5)
     assert rc == 2
@@ -588,7 +610,7 @@ class TestVerifyCommand:
                                                       monkeypatch, capsys):
         from gmdiff.verify import CheckResult
 
-        monkeypatch.setattr(gmdiff.cli, "run_suite", lambda *args, **kwargs: [
+        monkeypatch.setitem(gmdiff.cli.SUITES, "score", lambda *args, **kwargs: [
             CheckResult("always_fails", 2.0, 1.0, False)])
         out = tmp_path / "v"
         rc = main(["verify", "score", "--spec", spec_file, "--out", str(out),

@@ -8,10 +8,10 @@ no run.meta.json behind.
 - `gmdiff sample` and `gmdiff sweep` with flag values drawn from nan,
   +-inf, 0, -1, tiny, huge and fractional, and `gmdiff replay` of configs
   with such values (or wrong types, or strings outside a key's parser
-  choices) in one or two keys. They exit 0, 2 or 3: a huge but finite
-  epsilon0 or step is a valid run whose chains diverge, the
-  numerical-failure exit. An out-of-choice solver, schedule or axis
-  exits 2.
+  choices) in one or two keys, or with one or two keys deleted. They exit
+  0, 2 or 3: a huge but finite epsilon0 or step is a valid run whose
+  chains diverge, the numerical-failure exit. An out-of-choice solver,
+  schedule or axis, or a deleted key, exits 2.
 
 The counts of chains, steps, corrector steps and bins are capped, so an
 accepted draw costs milliseconds, and --threads stays within {-3, 0, 1, 2}.
@@ -153,18 +153,24 @@ PARSER_CHOICES = {
 OUT_OF_CHOICE = ["xx", "EI", "uniform ", "dpum"]
 
 
+# every key run.meta.json records, at small valid values
+CONFIG_KEYS = {"command": "sample", "spec": ANCHOR, "out": "replaced by --out", "seed": 1,
+               "solver": "ei", "schedule": "uniform", "T": 2.0, "N": 4, "delta": 0.0,
+               "epsilon0": 0.0, "n": 3, "K": 1.0, "threads": 1, "t_list": [0.0],
+               "suite": "score", "axis": "N", "values": [], "eps": 0.1, "h_pred": None,
+               "h_corr": None, "corr_steps": 1, "friction": 2.0, "bins": 10}
+
+
 @st.composite
 def replayed_config(draw):
-    """A small valid sample or sweep config with one or two keys set to a
-    bad JSON value (a choice key also to an out-of-choice string) or
+    """A complete valid sample or sweep config with one or two keys set to
+    a bad JSON value (a choice key also to an out-of-choice string) or
     deleted."""
-    config = {"spec": ANCHOR, "out": "replaced by --out", "seed": 1, "T": 2.0, "N": 4,
-              "n": 3, "corr_steps": 1, "bins": 10, "threads": 1}
+    config = dict(CONFIG_KEYS)
     if draw(st.booleans()):
-        config.update(command="sample", schedule="uniform",
-                      solver=draw(st.sampled_from(["em", "ei", "dpom", "dpum"])))
+        config["solver"] = draw(st.sampled_from(["em", "ei", "dpom", "dpum"]))
     else:
-        config.update(command="sweep", solver="ei", axis="N", values=[1, 2, 4, 8])
+        config.update(command="sweep", values=[1, 2, 4, 8])
     for _ in range(draw(st.integers(1, 2))):
         key = draw(st.sampled_from(sorted(config)))
         if _one_in(draw, 6):
@@ -217,5 +223,6 @@ def test_replayed_config_exits_0_2_or_3(config):
         meta, out = Path(tmp) / "run.meta.json", Path(tmp) / "out"
         meta.write_text(json.dumps({"command": config.get("command"), "config": config}))
         rc = _exit_code(["replay", str(meta), "--out", str(out)])
-        assert rc in ((2,) if _out_of_choice(config) else (0, 2, 3))
+        must_fail = _out_of_choice(config) or not set(CONFIG_KEYS) <= set(config)
+        assert rc in ((2,) if must_fail else (0, 2, 3))
         assert (out / "run.meta.json").exists() == (rc == 0)

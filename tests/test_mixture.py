@@ -221,18 +221,18 @@ class TestLogDensity:
 
 class TestResponsibilities:
     def test_single_component_is_one(self, std1d):
-        assert responsibilities(std1d, [0.3]).values == pytest.approx([1.0])
+        assert responsibilities(std1d, [0.3]) == pytest.approx([1.0])
 
     def test_symmetric_point_splits_evenly(self):
         spec = validate_spec([(0.5, [-1.0], [[1.0]]), (0.5, [1.0], [[1.0]])])
-        np.testing.assert_allclose(responsibilities(spec, [0.0]).values, [0.5, 0.5],
+        np.testing.assert_allclose(responsibilities(spec, [0.0]), [0.5, 0.5],
                                    atol=1e-14)
 
     def test_asymmetric_point_frozen_oracle(self):
         # arbitrary-precision ratio for w=(0.3,0.7), mu=(-1,2), var=(0.5,2), x=0.4
         spec = validate_spec([(0.3, [-1.0], [[0.5]]), (0.7, [2.0], [[2.0]])])
         np.testing.assert_allclose(
-            responsibilities(spec, [0.4]).values,
+            responsibilities(spec, [0.4]),
             [0.18631255069389366, 0.8136874493061064], rtol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -243,7 +243,7 @@ class TestResponsibilities:
         k = int(rng.integers(1, 6))
         spec = make_random_spec(d, k, seed=seed)
         x = rng.normal(size=d, scale=3.0)
-        vals = responsibilities(spec, x).values
+        vals = responsibilities(spec, x)
         assert abs(vals.sum() - 1.0) <= 1e-12
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
@@ -353,11 +353,11 @@ class TestPosteriorKernel:
         lo, hi = spec.means.min() - 4.0, spec.means.max() + 4.0
         pts = np.vstack([sample(spec, 40, seed=3).points,
                          rng.uniform(lo, hi, size=(40, spec.dim))])
-        batch = (log_density(spec, pts), responsibilities(spec, pts).values,
+        batch = (log_density(spec, pts), responsibilities(spec, pts),
                  score(spec, pts), score_jacobian(spec, pts))
         for i, x in enumerate(pts):
             lp, f, s, hess, scale = _reference_posterior(spec, x)
-            single = (log_density(spec, x), responsibilities(spec, x).values,
+            single = (log_density(spec, x), responsibilities(spec, x),
                       score(spec, x), score_jacobian(spec, x))
             for got in (single, tuple(b[i] for b in batch)):
                 assert got[0] == pytest.approx(lp, rel=1e-12, abs=1e-12)
@@ -397,7 +397,7 @@ _BLOCKED = [
     ("log_density", lambda spec, x: log_density(spec, x), mixture._log_density_block),
     ("density", lambda spec, x: density(spec, x),
      lambda spec, pts: np.exp(mixture._log_density_block(spec, pts))),
-    ("responsibilities", lambda spec, x: responsibilities(spec, x).values,
+    ("responsibilities", lambda spec, x: responsibilities(spec, x),
      mixture._responsibilities_block),
     ("score", lambda spec, x: score(spec, x), mixture._score_block),
     ("score_jacobian", lambda spec, x: score_jacobian(spec, x),
@@ -598,14 +598,13 @@ def test_sample_writes_the_reference_csv_bytes(name, tmp_path):
 
 @pytest.mark.parametrize("make", [
     lambda spec: validate_spec(spec.to_dict()),
-    lambda spec: responsibilities(spec, [0.0]),
     lambda spec: make_score_model(spec, "perturbed", 0.1, seed=0),
     lambda spec: FourierField.create(1, seed=0),
     lambda spec: uniform_grid(1.0, 4),
     lambda spec: sample(spec, 4, seed=0),
     lambda spec: default_histogram_grid(spec, 10),
     lambda spec: moment_diagnostics(sample(spec, 100, seed=0), spec),
-], ids=["GmmSpec", "Responsibilities", "ScoreModel", "FourierField", "TimeGrid",
+], ids=["GmmSpec", "ScoreModel", "FourierField", "TimeGrid",
         "SampleBatch", "HistogramGrid", "MomentDiagnostics"])
 def test_array_holders_compare_and_hash_by_identity(anchor, make):
     # comparing the array fields would raise; identity is the only equality

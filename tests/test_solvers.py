@@ -532,7 +532,8 @@ class TestRunSampler:
         exc = exc_info.value
         assert (exc.step_index, exc.chain) == (2, 2)
         assert exc.t_forward == pytest.approx(1.25, abs=1e-12)
-        assert "step 2" in str(exc) and "chain 2" in str(exc) and "1.25" in str(exc)
+        assert "step 2" in str(exc) and "chain 2" in str(exc) and "t = 1.25" in str(exc)
+        assert "np.float64" not in str(exc)
 
     def test_rejects_unknown_scheme(self, anchor):
         with pytest.raises(ValueError):

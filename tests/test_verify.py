@@ -1,38 +1,39 @@
 import pytest
 
+from gmdiff.cli import RunConfig
 from gmdiff.suite import standard_mixture_1d, standard_normal_spec
-from gmdiff.verify import run_suite
+from gmdiff.verify import lipschitz_suite_checks, mixture_suite, score_suite, solver_suite
 
 from conftest import make_random_spec
 
 
 def test_score_suite_passes_on_anchor():
-    checks = run_suite("score", standard_mixture_1d())
+    checks = score_suite(standard_mixture_1d())
     assert all(c.passed for c in checks)
 
 
 def test_score_suite_passes_on_random_2d():
-    checks = run_suite("score", make_random_spec(2, 3, seed=5))
+    checks = score_suite(make_random_spec(2, 3, seed=5))
     assert all(c.passed for c in checks)
 
 
 def test_lipschitz_suite_standard_normal():
-    checks = run_suite("lipschitz", standard_normal_spec(2), n_points=4000)
+    checks = lipschitz_suite_checks(standard_normal_spec(2), n_points=4000)
     assert all(c.passed for c in checks)
     # the probe norm on the standard normal is exactly 1, far below L
     assert all(c.measured == pytest.approx(1.0, abs=1e-9) for c in checks)
 
 
 def test_mixture_suite_passes():
-    checks = run_suite("mixture", standard_mixture_1d(), t=1.5, n=50000)
+    checks = mixture_suite(standard_mixture_1d(), t=1.5, n=50000)
     assert all(c.passed for c in checks)
 
 
 def test_solver_suite_passes():
-    checks = run_suite("solver", standard_mixture_1d(), N=256, n=10000)
+    checks = solver_suite(standard_mixture_1d(), N=256, n=10000)
     assert all(c.passed for c in checks)
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(ValueError):
-        run_suite("nonsense", standard_mixture_1d())
+    with pytest.raises(ValueError, match="suite must be one of"):
+        RunConfig(command="verify", spec="spec.json", out="out", seed=1, suite="nonsense")
