@@ -32,7 +32,8 @@ from .fileio import load_spec, save_bound_reports, save_sweep_csv
 from .metrics import convergence_sweep
 from .mixture import GmmSpec
 from .schedules import check_grid_args, exp_decay_grid, uniform_grid
-from .solvers import make_score_model, run_predictor_corrector, run_sampler
+from .solvers import (check_corrector_args, make_score_model, run_predictor_corrector,
+                      run_sampler)
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -193,20 +194,22 @@ def cmd_bounds(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
 def cmd_sample(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     if cfg.N < 1:
         raise ValueError(f"--N must be >= 1, got {cfg.N}")
+    # every flag is checked, whether or not the chosen solver reads it, and
+    # before the calibrated report of the expdecay schedule
+    check_grid_args(cfg.T, cfg.N, cfg.delta, cfg.K)
+    h_pred = cfg.h_pred if cfg.h_pred is not None else cfg.T / cfg.N
+    h_corr = cfg.h_corr if cfg.h_corr is not None else h_pred / 4.0
+    check_corrector_args(h_pred, h_corr, cfg.corr_steps, cfg.friction)
     model = make_score_model(spec, "perturbed" if cfg.epsilon0 > 0 else "exact",
                              cfg.epsilon0, seed=cfg.seed)
     if cfg.solver in ("em", "ei"):
         if cfg.schedule == "uniform":
             grid = uniform_grid(cfg.T, cfg.N, cfg.delta)
         else:
-            # the checks that need no L come before the calibrated report
-            check_grid_args(cfg.T, cfg.N, cfg.delta, cfg.K)
             L = bound_report(spec, 0.0, seed=cfg.seed).L
             grid = exp_decay_grid(cfg.T, cfg.N, max(L, 1.0), spec.dim, cfg.K, cfg.delta)
         batch = run_sampler(model, grid, cfg.solver, cfg.n, cfg.seed)
     else:
-        h_pred = cfg.h_pred if cfg.h_pred is not None else cfg.T / cfg.N
-        h_corr = cfg.h_corr if cfg.h_corr is not None else h_pred / 4.0
         variant = "overdamped" if cfg.solver == "dpom" else "underdamped"
         batch = run_predictor_corrector(
             model, cfg.T, h_pred, h_corr, cfg.corr_steps, variant,

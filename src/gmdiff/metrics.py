@@ -40,8 +40,8 @@ from .mixture import (
     score_jacobian,
 )
 from .samples import SampleBatch
-from .schedules import uniform_grid
-from .solvers import make_score_model, run_sampler
+from .schedules import check_grid_args, uniform_grid
+from .solvers import check_epsilon0, make_score_model, run_sampler
 
 _REF_CLAMP = 1e-12
 _MIDPOINTS_PER_AXIS = 4
@@ -371,6 +371,8 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, f
     if np.any(ys <= 0.0) or np.any(xs <= 0.0):
         raise ValueError("log-log fit needs positive values")
     lx, ly = np.log(xs), np.log(ys)
+    if lx.min() == lx.max():
+        raise ValueError("log-log fit needs at least two distinct x values")
     lx_c = lx - lx.mean()
     slope = float((lx_c @ (ly - ly.mean())) / (lx_c @ lx_c))
     intercept = ly.mean() - slope * lx.mean()
@@ -390,7 +392,8 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
 
     axis "N" sweeps the uniform grid resolution (integers >= 1) at fixed
     score error; axis "epsilon0" sweeps the score perturbation (> 0) at fixed
-    N. Every value is checked before any run. The histogram KL is taken
+    N. The values (at least two distinct ones) and the fixed N and epsilon0,
+    read or not, are checked before any run. The histogram KL is taken
     against the marginal at time delta (the target the sampler is actually
     aiming for), on that marginal's default histogram grid with ``bins``
     cells per axis.
@@ -406,6 +409,10 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
         ok, rule = vals > 0, "positive"
     if not np.all(ok & np.isfinite(vals)):
         raise ValueError(f"{axis} sweep values must be finite {rule}, got {list(values)}")
+    if vals.min() == vals.max():
+        raise ValueError(f"{axis} sweep needs at least two distinct values, got {list(values)}")
+    check_grid_args(T, fixed_N, delta)
+    check_epsilon0(fixed_epsilon0)
     reference = marginal_at(spec0, delta)
     grid = default_histogram_grid(reference, bins)
     children = np.random.SeedSequence(seed).spawn(len(values))

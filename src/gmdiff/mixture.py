@@ -159,13 +159,28 @@ def validate_spec(raw) -> GmmSpec:
         # with the sum within _WEIGHT_TOL of 1, no positive weight exceeds 1 + _WEIGHT_TOL
         raise WeightsDoNotSumToOne(f"each weight must lie in (0,1], got {weights!r}")
 
-    covs = np.stack(covs)
+    means, covs = np.stack(means), np.stack(covs)
     asym = np.max(np.abs(covs - np.swapaxes(covs, 1, 2)), axis=(1, 2)) > _SYM_TOL
     if asym.any():
         raise NonSymmetricCovariance(
             f"component {int(np.argmax(asym))}: covariance is not symmetric")
-    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-    return GmmSpec.from_eigh(weights, np.stack(means), covs, *np.linalg.eigh(covs))
+    # the closed forms read these sums; each must stay in the double range
+    with np.errstate(over="ignore"):
+        covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+        _check_in_range("cov (symmetrized)", np.abs(covs).max(axis=(1, 2)))
+        _check_in_range("|mean|^2 + tr(cov)",
+                        np.sum(means ** 2, axis=1) + np.trace(covs, axis1=1, axis2=2))
+        eigvals, eigvecs = np.linalg.eigh(covs)
+        _check_in_range("d * largest cov eigenvalue", d * eigvals[:, -1])
+    return GmmSpec.from_eigh(weights, means, covs, eigvals, eigvecs)
+
+
+def _check_in_range(what: str, per_component: np.ndarray) -> None:
+    """NonFiniteParameter naming the first component whose `what` overflows."""
+    bad = ~np.isfinite(per_component)
+    if bad.any():
+        raise NonFiniteParameter(f"component {int(np.argmax(bad))}: {what} overflows "
+                                 "the double range")
 
 
 def _mapped_triple(i: int, c) -> tuple:

@@ -212,6 +212,14 @@ _PROBE_HORIZON = 8.0
 _PROBE_NODES = 16
 
 
+def check_epsilon0(epsilon0: float) -> None:
+    """Reject a score error epsilon0 that is not finite and >= 0."""
+    if not math.isfinite(epsilon0):
+        raise NonFiniteParameter(f"epsilon0 must be finite, got {epsilon0!r}")
+    if epsilon0 < 0.0:
+        raise NegativeEpsilon(f"epsilon0 must be >= 0, got {epsilon0!r}")
+
+
 def make_score_model(spec0: GmmSpec, kind: str = "exact", epsilon0: float = 0.0,
                      seed: int | None = None) -> ScoreModel:
     """Build an exact or perturbed score model; epsilon0 = 0 forces exact.
@@ -222,10 +230,7 @@ def make_score_model(spec0: GmmSpec, kind: str = "exact", epsilon0: float = 0.0,
     mean-squared score error lands on epsilon0^2 regardless of which few
     features the random draw happens to favor.
     """
-    if not math.isfinite(epsilon0):
-        raise NonFiniteParameter(f"epsilon0 must be finite, got {epsilon0!r}")
-    if epsilon0 < 0.0:
-        raise NegativeEpsilon(f"epsilon0 must be >= 0, got {epsilon0!r}")
+    check_epsilon0(epsilon0)
     if kind not in ("exact", "perturbed"):
         raise ValueError(f"kind must be 'exact' or 'perturbed', got {kind!r}")
     field = None
@@ -361,6 +366,19 @@ def _corrector_underdamped(model: ScoreModel, t_fwd: float, y: np.ndarray,
     return y, v
 
 
+def check_corrector_args(h_pred: float, h_corr: float, corr_steps_per_node: int,
+                         friction: float) -> None:
+    """Reject step sizes that are not positive and finite, a negative
+    corrector step count, or a friction that is not finite and >= 0."""
+    for name, value in (("h_pred", h_pred), ("h_corr", h_corr)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (math.isfinite(friction) and friction >= 0.0):
+        raise ValueError(f"friction must be finite and >= 0, got {friction!r}")
+    if corr_steps_per_node < 0:
+        raise ValueError("corr_steps_per_node must be >= 0")
+
+
 def run_predictor_corrector(model: ScoreModel, T: float, h_pred: float,
                             h_corr: float, corr_steps_per_node: int,
                             variant: str, friction: float = 2.0,
@@ -378,13 +396,7 @@ def run_predictor_corrector(model: ScoreModel, T: float, h_pred: float,
     if variant not in ("overdamped", "underdamped"):
         raise ValueError(f"variant must be 'overdamped' or 'underdamped', got {variant!r}")
     check_grid_args(T, 1, delta)
-    for name, value in (("h_pred", h_pred), ("h_corr", h_corr)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if not (math.isfinite(friction) and friction >= 0.0):
-        raise ValueError(f"friction must be finite and >= 0, got {friction!r}")
-    if corr_steps_per_node < 0:
-        raise ValueError("corr_steps_per_node must be >= 0")
+    check_corrector_args(h_pred, h_corr, corr_steps_per_node, friction)
     span = T - delta
     count = span / h_pred
     try:

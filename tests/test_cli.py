@@ -125,9 +125,12 @@ class TestBoundsCommand:
          "component 1: expected a (weight, mean, cov) triple"),
         ({"dim": 1, "components": [{"weight": 1.0, "cov": [[1.0]]}]},
          "component 0: missing field 'mean'"),
+        ([[1.0, [1e200], [[1.0]]]], "component 0: |mean|^2 + tr(cov) overflows"),
+        ([[1.0, [0.0, 0.0], [[1e308, 0.0], [0.0, 1e293]]]],
+         "component 0: cov (symmetrized) overflows"),
     ], ids=["true", "null", "-1", "[1e308]", "weight-null", "weight-nested",
             "mean-object", "cov-object", "dim-list", "pair", "string", "four-items",
-            "mean-missing"])
+            "mean-missing", "mean-1e200", "cov-1e308"])
     def test_malformed_spec_exit_2_without_output(self, tmp_path, capsys, raw, where):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
@@ -306,6 +309,12 @@ class TestSampleCommand:
         (["--solver", "ei", "--N", "-1"], "--N must be >= 1"),
         (["--solver", "ei", "--epsilon0", "nan"], "epsilon0 must be finite"),
         (["--solver", "em", "--epsilon0", "inf"], "epsilon0 must be finite"),
+        # flags EI does not read are checked all the same
+        (["--solver", "ei", "--K", "nan"], "K must be positive and finite"),
+        (["--solver", "ei", "--K", "-1"], "K must be positive and finite"),
+        (["--solver", "ei", "--h-pred", "nan"], "h_pred must be positive and finite"),
+        (["--solver", "ei", "--friction", "-1"], "friction must be finite and >= 0"),
+        (["--solver", "ei", "--corr-steps", "-5"], "corr_steps_per_node must be >= 0"),
     ])
     def test_bad_sampler_argument_exit_2(self, spec_file, tmp_path, capsys, args, name):
         out = tmp_path / "o"
@@ -644,6 +653,27 @@ class TestSweepCommand:
         assert rc == 2
         assert f"{axis} sweep values must be finite" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["N", "--values", "8", "8", "8", "8"], "N sweep needs at least two distinct values"),
+        (["epsilon0", "--values", "0.1", "0.1", "0.1", "0.1"],
+         "epsilon0 sweep needs at least two distinct values"),
+        # the fixed value of the axis that is not swept, read or not
+        (["N", "--values", "8", "16", "32", "64", "--N", "-5"],
+         "need at least one step, got N=-5"),
+        (["epsilon0", "--values", "0.1", "0.2", "0.4", "0.8", "--epsilon0", "nan"],
+         "epsilon0 must be finite"),
+    ])
+    def test_unusable_sweep_exit_2_before_any_run(self, spec_file, tmp_path, capsys,
+                                                  monkeypatch, argv, message):
+        monkeypatch.setattr(gmdiff.metrics, "run_sampler", lambda *args, **kwargs:
+                            pytest.fail("a sampler ran before the sweep was checked"))
+        out = tmp_path / "s"
+        rc = main(["sweep", *argv, "--spec", spec_file, "--out", str(out), "--seed", "1"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "run.meta.json").exists()
 
     def test_small_n_sweep_runs_and_writes(self, spec_file, tmp_path):
         out = tmp_path / "s"

@@ -3,8 +3,9 @@ error), never 4 (an internal error), and a run that does not exit 0 leaves
 no run.meta.json behind.
 
 - `gmdiff bounds` on spec files drawn from a grammar of near-valid specs:
-  wrong types, non-finite numbers, wrong shapes, missing keys and lists
-  whose items are not (weight, mean, cov) triples. It exits 0 or 2.
+  wrong types, non-finite numbers, huge magnitudes, wrong shapes, missing
+  keys and lists whose items are not (weight, mean, cov) triples. It exits
+  0 or 2, and a report it writes holds finite moments.
 - `gmdiff sample` and `gmdiff sweep` with flag values drawn from nan,
   +-inf, 0, -1, tiny, huge and fractional, and `gmdiff replay` of configs
   with such values (or wrong types, or strings outside a key's parser
@@ -46,14 +47,20 @@ def _one_in(draw, m: int) -> bool:
     return draw(st.integers(0, m - 1)) == 0
 
 
+# magnitudes whose squares, sums or symmetrized covariances pass the double range
+huge = st.one_of(st.sampled_from([1.3e154, 1e200, 1e300, 1e308, 1.7976931348623157e308]),
+                 st.floats(1e150, 1.7976931348623157e308))
+
+
 @st.composite
 def fields(draw, d, k):
     """(weight, mean, cov) of one of k components; each field is valid, or
-    with probability 1/4 a wrong type, a non-finite number or a wrong shape."""
-    scale = draw(st.floats(0.1, 4.0))
-    valid = (1.0 / k,
-             draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)),
-             [[scale if i == j else 0.0 for j in range(d)] for i in range(d)])
+    with probability 1/4 a wrong type, a non-finite number or a wrong shape.
+    A valid mean coordinate or covariance scale is huge with probability 1/8."""
+    scale = draw(huge) if _one_in(draw, 8) else draw(st.floats(0.1, 4.0))
+    mean = [draw(huge) * draw(st.sampled_from([1.0, -1.0])) if _one_in(draw, 8) else v
+            for v in draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d))]
+    valid = (1.0 / k, mean, [[scale if i == j else 0.0 for j in range(d)] for i in range(d)])
     wrong_shape = st.lists(st.lists(numbers, min_size=d + 1, max_size=d + 1),
                            min_size=1, max_size=d + 1)
     bad = st.one_of(numbers, anything, wrong_shape,
@@ -92,6 +99,10 @@ def test_bounds_on_any_spec_exits_0_or_2(raw):
         rc = main(["bounds", "--spec", str(spec), "--out", str(out), "--seed", "1"])
         assert rc in (0, 2)
         assert (out / "run.meta.json").exists() == (rc == 0)
+        if rc == 0:
+            # a spec whose moments overflow is refused, not written as null
+            report = json.loads((out / "bounds.json").read_text())[0]
+            assert None not in (report["M2"], report["m2"], report["mu_max"]), report
 
 
 ANCHOR = str(Path(__file__).resolve().parents[1] / "specs" / "standard_mixture_1d.json")

@@ -512,3 +512,7 @@ class TestSlopeFit:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+
+    def test_needs_spread_in_x(self):
+        with pytest.raises(ValueError, match="two distinct x values"):
+            fit_loglog_slope([8.0, 8.0, 8.0, 8.0], [1.0, 2.0, 3.0, 4.0])
