@@ -25,11 +25,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteParameter,
     NotPositiveDefinite,
     ParamsOutOfRange,
     TooFewSamples,
 )
-from .forward import marginal_at, ou_coefficients
+from .forward import marginal_at
 from .mixture import GmmSpec, _block_points, _check_points, log_density, sample
 from .samples import SampleBatch
 
@@ -39,9 +40,9 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class ConditionParams:
-    """Region parameters: radius band [beta, R] around every scaled mean plus
-    the log of a density floor gamma, which underflows in linear space at
-    high d. Ranges: R >= 1, 0 < beta < 0.1, 0 < gamma < 0.1."""
+    """Region parameters: radius band [beta, R] around every mean a_t mu_i of
+    the marginal plus the log of a density floor gamma, which underflows in
+    linear space at high d. Ranges: R >= 1, 0 < beta < 0.1, 0 < gamma < 0.1."""
 
     R: float
     beta: float
@@ -64,7 +65,7 @@ class SpectralSummary:
 
     ``log_det_min`` is the log of the smallest determinant, taken from the
     log-determinants; ``det_min``, its exp, underflows to 0 at high d
-    (0.01 I at d = 400 has determinant e^-1842).
+    (0.01 I at d = 400 has determinant e^-1842), and is inf past the range.
     """
 
     sigma_min: float
@@ -74,7 +75,8 @@ class SpectralSummary:
 
     @property
     def det_min(self) -> float:
-        return float(np.exp(self.log_det_min))
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_det_min))
 
 
 class LipschitzResult(NamedTuple):
@@ -190,30 +192,31 @@ def kl_to_standard_upper(spec: GmmSpec) -> KlUpperBound:
         convexity_bound=float(spec.weights @ np.maximum(per, 0.0)))
 
 
-def _mean_distances(spec_t: GmmSpec, a_t: float, x) -> np.ndarray:
-    """|x - a_t mu_i| per component and point: (k, n), or (k,) for one point.
+def _mean_distances(spec_t: GmmSpec, x) -> np.ndarray:
+    """|x - a_t mu_i| to the means of the marginal spec_t, per component and
+    point: (k, n), or (k,) for one point; inf past the double range.
 
     The result and the differences, (k, d, block), are component-major and
     taken in point blocks, so no (n, k, d) array is built and reductions
     over the components run along contiguous rows of length n.
     """
     pts, single = _check_points(spec_t, x)
-    centers = (a_t * spec_t.means)[:, :, None]
+    centers = spec_t.means[:, :, None]
     out = np.empty((spec_t.k, pts.shape[0]))
     block = _block_points(spec_t)
-    for lo in range(0, pts.shape[0], block):
-        diff = np.ascontiguousarray(pts[lo:lo + block].T) - centers
-        np.sqrt(np.add.reduce(diff * diff, axis=1), out=out[:, lo:lo + block])
+    with np.errstate(over="ignore"):
+        for lo in range(0, pts.shape[0], block):
+            diff = np.ascontiguousarray(pts[lo:lo + block].T) - centers
+            np.sqrt(np.add.reduce(diff * diff, axis=1), out=out[:, lo:lo + block])
     return out[:, 0] if single else out
 
 
-def region_mask(spec_t: GmmSpec, a_t: float, points: np.ndarray,
-                params: ConditionParams) -> np.ndarray:
+def region_mask(spec_t: GmmSpec, points: np.ndarray, params: ConditionParams) -> np.ndarray:
     """Region membership of each point of an (n, d) array (or of one point):
-    beta <= |x - a_t mu_i| <= R for every component i and
-    log p(x) >= log gamma. A NaN point fails every clause."""
+    beta <= |x - a_t mu_i| <= R for every mean a_t mu_i of the marginal
+    spec_t and log p_t(x) >= log gamma. A NaN point fails every clause."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dists = _mean_distances(spec_t, a_t, pts)
+    dists = _mean_distances(spec_t, pts)
     ok = (dists >= params.beta).all(axis=0) & (dists <= params.R).all(axis=0)
     ok &= log_density(spec_t, pts) >= params.log_gamma
     return ok
@@ -243,25 +246,32 @@ def _percentile(a: np.ndarray, q: float) -> float:
     return float(hi - diff * (1.0 - t) if t >= 0.5 else lo + diff * t)
 
 
-def calibrate_region(spec_t: GmmSpec, a_t: float, samples: SampleBatch) -> ConditionParams:
+def calibrate_region(spec_t: GmmSpec, samples: SampleBatch) -> ConditionParams:
     """Pick (R, beta, log gamma) from sample percentiles so that the bulk
-    of the mass satisfies the region clauses:
+    of the mass satisfies the region clauses, centred on spec_t's means:
 
     R         = 99th percentile of max_i |x - a_t mu_i|, clamped >= 1;
     beta      = 1st percentile of min_i |x - a_t mu_i|, capped below 0.1;
     log gamma = 1st percentile of the log density, capped below log 0.1.
+
+    A percentile past the double range raises NonFiniteParameter.
     """
     pts = samples.points
     if pts.shape[0] < 1000:
         raise TooFewSamples(f"need >= 1000 samples to calibrate, got {pts.shape[0]}")
-    dists = _mean_distances(spec_t, a_t, pts)
-    R = max(1.0, _percentile(dists.max(axis=0), 99.0))
-    beta = min(_percentile(dists.min(axis=0), 1.0), _BETA_GAMMA_CAP)
+    dists = _mean_distances(spec_t, pts)
+    with np.errstate(invalid="ignore"):        # inf - inf is NaN, refused below
+        top = _percentile(dists.max(axis=0), 99.0)
+        low = _percentile(dists.min(axis=0), 1.0)
+        log_p = _percentile(log_density(spec_t, pts), 1.0)
+    if not all(map(math.isfinite, (top, low, log_p))):
+        raise NonFiniteParameter("region calibration overflows the double range: "
+                                 f"R, beta, log gamma percentiles {top}, {low}, {log_p}")
+    beta = min(low, _BETA_GAMMA_CAP)
     if beta <= 0.0:
         beta = 1e-6
-    log_gamma = min(_percentile(log_density(spec_t, pts), 1.0),
-                    math.log(_BETA_GAMMA_CAP))
-    return ConditionParams(R=R, beta=beta, log_gamma=log_gamma)
+    return ConditionParams(R=max(1.0, top), beta=beta,
+                           log_gamma=min(log_p, math.log(_BETA_GAMMA_CAP)))
 
 
 @dataclass(frozen=True)
@@ -302,8 +312,7 @@ def bound_report(spec0: GmmSpec, t: float, calibration_samples: int = 20000,
     """Assemble the full report at time t, calibrating (R, beta, log gamma) from
     fresh forward samples."""
     spec_t = marginal_at(spec0, t)
-    a_t = ou_coefficients(t).a
-    params = calibrate_region(spec_t, a_t, sample(spec_t, calibration_samples, seed))
+    params = calibrate_region(spec_t, sample(spec_t, calibration_samples, seed))
     summ = spectral_summary(spec_t)
     lip = lipschitz_constant(summ, params, spec0.dim)
     mom = second_moment(spec0)

@@ -330,14 +330,15 @@ def spectral_norms(matrices: np.ndarray) -> np.ndarray:
 
 
 def jacobian_spectral_probe(spec_t: GmmSpec, points, params: ConditionParams,
-                            a_t: float) -> SpectralProbeResult:
+                            a_t=None) -> SpectralProbeResult:
     """Max spectral norm of the score Jacobian over region-passing points.
 
     Raises NoPointsInRegion when no probe point satisfies the region
-    clauses for the given parameters.
+    clauses for the given parameters. ``a_t`` is ignored (the region reads
+    spec_t alone); the benchmark still passes it until ROADMAP item 1.
     """
     pts = _batch_points(points, spec_t.dim)
-    mask = region_mask(spec_t, a_t, pts, params)
+    mask = region_mask(spec_t, pts, params)
     passing = pts[mask]
     if passing.shape[0] == 0:
         raise NoPointsInRegion("no probe points satisfy the region clauses")

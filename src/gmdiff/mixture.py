@@ -171,7 +171,9 @@ def validate_spec(raw) -> GmmSpec:
         _check_in_range("|mean|^2 + tr(cov)",
                         np.sum(means ** 2, axis=1) + np.trace(covs, axis1=1, axis2=2))
         eigvals, eigvecs = np.linalg.eigh(covs)
-        _check_in_range("d * largest cov eigenvalue", d * eigvals[:, -1])
+        # the closed-form KL bound adds the largest |mean|^2, maybe another component's
+        _check_in_range("d * largest cov eigenvalue + largest |mean|^2",
+                        d * eigvals[:, -1] + np.sum(means ** 2, axis=1).max())
     return GmmSpec.from_eigh(weights, means, covs, eigvals, eigvecs)
 
 

@@ -99,7 +99,7 @@ def lipschitz_suite_checks(spec: GmmSpec, times=(0.0, 0.5, 2.0),
         report = bound_report(spec, t, calibration_samples=n_points, seed=seed)
         spec_t = marginal_at(spec, t)
         probe = jacobian_spectral_probe(spec_t, sample(spec_t, n_points, seed + 1),
-                                        report.params, ou_coefficients(t).a)
+                                        report.params)
         results.append(CheckResult(
             f"jacobian_norm_below_L_at_t={t}", probe.max_norm, report.L,
             probe.max_norm <= report.L))

@@ -21,7 +21,6 @@ from gmdiff import (
     lipschitz_constant,
     make_score_model,
     marginal_at,
-    ou_coefficients,
     run_predictor_corrector,
     run_sampler,
     sample,
@@ -93,11 +92,10 @@ def test_c03_lipschitz_bound_holds_on_region():
     for idx, spec in enumerate(lipschitz_suite(seed=2024)):
         for t in (0.0, 0.5, 2.0):
             spec_t = marginal_at(spec, t)
-            a_t = ou_coefficients(t).a
             calib = sample(spec_t, 10000, seed=910 + idx)
-            params = calibrate_region(spec_t, a_t, calib)
+            params = calibrate_region(spec_t, calib)
             probe_pts = sample(spec_t, 10000, seed=3700 + idx)
-            probe = jacobian_spectral_probe(spec_t, probe_pts, params, a_t)
+            probe = jacobian_spectral_probe(spec_t, probe_pts, params)
             L = lipschitz_constant(spectral_summary(spec_t), params, spec.dim).value
             assert probe.max_norm <= L, (idx, t, probe.max_norm, L)
             assert probe.n_passing > 0

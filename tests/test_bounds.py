@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from gmdiff.bounds import (
 )
 from gmdiff.errors import (
     DimensionMismatch,
+    NonFiniteParameter,
     NotPositiveDefinite,
     ParamsOutOfRange,
     TooFewSamples,
@@ -85,6 +87,13 @@ class TestSpectralSummary:
         s = spectral_summary(validate_spec([(1.0, np.zeros(400), 0.01 * np.eye(400))]))
         assert s.det_min == 0.0
         assert s.log_det_min == pytest.approx(400 * math.log(0.01), rel=1e-12)
+
+    def test_det_min_past_double_range_is_inf_without_warning(self):
+        s = spectral_summary(validate_spec([(1.0, np.zeros(3), 1e300 * np.eye(3))]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert s.det_min == math.inf
+        assert s.log_det_min == pytest.approx(3 * math.log(1e300), rel=1e-12)
 
     def test_det_bounds_invariant(self):
         spec = make_random_spec(3, 4, seed=78)
@@ -294,26 +303,26 @@ class TestRegionCheck:
     def test_center_fails_lower_clause(self, std1d):
         # |0 - 0| < beta while the density 0.399 clears the floor; 0.06 passes
         params = ConditionParams(R=5.0, beta=0.05, log_gamma=math.log(0.01))
-        assert region_mask(std1d, 1.0, [[0.0], [0.06]], params).tolist() == [False, True]
+        assert region_mask(std1d, [[0.0], [0.06]], params).tolist() == [False, True]
 
     def test_far_point_fails_upper_clause(self, std1d):
         params = ConditionParams(R=10.0, beta=0.05, log_gamma=math.log(1e-30))
-        assert region_mask(std1d, 1.0, [[1e6], [9.0]], params).tolist() == [False, True]
+        assert region_mask(std1d, [[1e6], [9.0]], params).tolist() == [False, True]
 
     def test_moderate_point_passes(self, std1d):
         params = ConditionParams(R=5.0, beta=0.05, log_gamma=math.log(0.01))
-        assert region_mask(std1d, 1.0, [1.0], params).tolist() == [True]
+        assert region_mask(std1d, [1.0], params).tolist() == [True]
 
     def test_density_clause(self, std1d):
         # 3.5 lies inside [beta, R]; its density 8.7e-4 is below the floor
         params = ConditionParams(R=10.0, beta=0.01, log_gamma=math.log(0.0999))
-        assert region_mask(std1d, 1.0, [[3.5], [1.0]], params).tolist() == [False, True]
+        assert region_mask(std1d, [[3.5], [1.0]], params).tolist() == [False, True]
 
     def test_mask_agrees_with_scalar(self, anchor):
         # the clauses evaluated point by point: norms and log p of one point
         params = ConditionParams(R=4.0, beta=0.05, log_gamma=math.log(0.01))
         pts = np.linspace(-4.0, 4.0, 41)[:, None]
-        mask = region_mask(anchor, 1.0, pts, params)
+        mask = region_mask(anchor, pts, params)
         dists = [np.linalg.norm(p - anchor.means, axis=1) for p in pts]
         scalar = [bool((r >= params.beta).all() and (r <= params.R).all()
                        and log_density(anchor, p) >= params.log_gamma)
@@ -324,8 +333,8 @@ class TestRegionCheck:
     def test_mask_takes_one_point_and_puts_nan_outside(self, anchor):
         # region_mask leaves finiteness to the caller: NaN fails every clause
         params = ConditionParams(R=4.0, beta=0.05, log_gamma=math.log(0.01))
-        assert region_mask(anchor, 1.0, [1.0], params).tolist() == [True]
-        mask = region_mask(anchor, 1.0, [[1.0], [math.nan]], params)
+        assert region_mask(anchor, [1.0], params).tolist() == [True]
+        mask = region_mask(anchor, [[1.0], [math.nan]], params)
         assert mask.tolist() == [True, False]
 
 
@@ -363,7 +372,7 @@ class TestPercentile:
 class TestCalibrateRegion:
     def test_standard_normal_radius(self, std1d):
         batch = sample(std1d, 100000, seed=5)
-        params = calibrate_region(std1d, 1.0, batch)
+        params = calibrate_region(std1d, batch)
         # 99th percentile of |x| is the 0.995 normal quantile
         assert params.R == pytest.approx(norm.ppf(0.995), abs=0.05)
 
@@ -371,25 +380,33 @@ class TestCalibrateRegion:
         # a tight mixture has 1st-percentile density far above 0.1
         spec = validate_spec([(1.0, [0.0], [[1e-4]])])
         batch = sample(spec, 5000, seed=6)
-        params = calibrate_region(spec, 1.0, batch)
+        params = calibrate_region(spec, batch)
         assert params.log_gamma == pytest.approx(math.log(0.0999))
+
+    def test_overflowing_distances_raise_without_warning(self):
+        # |x|^2 overflows for about one draw in eight at variance 8e307: the
+        # 99th percentile of the distances is NaN, which R = max(1, NaN) hid
+        spec = validate_spec([(1.0, [0.0], [[8e307]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteParameter, match="overflows the double range"):
+                calibrate_region(spec, sample(spec, 1000, seed=1))
 
     def test_too_few_samples(self, std1d):
         with pytest.raises(TooFewSamples):
-            calibrate_region(std1d, 1.0, sample(std1d, 999, seed=1))
+            calibrate_region(std1d, sample(std1d, 999, seed=1))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_matches_point_major_distances(self, d):
-        # the distances |x - a_t mu_i| are taken component-major in point
-        # blocks; a sum of fewer than 8 squares keeps its order, so R, beta and
-        # the mask equal the point-major norm's bit for bit, while at d = 10
-        # numpy's pairwise summation of the norm may round differently
-        from gmdiff import ou_coefficients
+        # the distances |x - a_t mu_i| to the marginal's means are taken
+        # component-major in point blocks; a sum of fewer than 8 squares keeps
+        # its order, so R, beta and the mask equal the point-major norm's bit
+        # for bit, while at d = 10 numpy's pairwise summation of the norm may
+        # round differently
         spec_t = marginal_at(make_random_spec(d, 3, seed=80 + d), 0.3)
-        a_t = ou_coefficients(0.3).a
         pts = sample(spec_t, 20000, seed=90 + d).points
-        params = calibrate_region(spec_t, a_t, SampleBatch(points=pts, meta={}))
-        dists = np.linalg.norm(pts[:, None, :] - a_t * spec_t.means[None, :, :], axis=2)
+        params = calibrate_region(spec_t, SampleBatch(points=pts, meta={}))
+        dists = np.linalg.norm(pts[:, None, :] - spec_t.means[None, :, :], axis=2)
         R = max(1.0, float(np.percentile(dists.max(axis=1), 99.0)))
         beta = min(float(np.percentile(dists.min(axis=1), 1.0)), 0.0999)
         rel = 0.0 if d <= 3 else 1e-12
@@ -397,30 +414,28 @@ class TestCalibrateRegion:
         assert params.beta == pytest.approx(beta, rel=rel, abs=0)
         ref_mask = ((dists >= params.beta).all(axis=1) & (dists <= params.R).all(axis=1)
                     & (log_density(spec_t, pts) >= params.log_gamma))
-        mask = region_mask(spec_t, a_t, pts, params)
+        mask = region_mask(spec_t, pts, params)
         np.testing.assert_array_equal(mask, ref_mask)
         assert 0 < mask.sum() < len(mask)
         for i in range(0, 20000, 997):
-            assert region_mask(spec_t, a_t, pts[i], params).tolist() == [ref_mask[i]]
+            assert region_mask(spec_t, pts[i], params).tolist() == [ref_mask[i]]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mean_distances_are_component_major(self, d):
         spec = make_random_spec(d, 4, seed=60 + d)
         pts = sample(spec, 9000, seed=61).points     # two point blocks
-        dists = _mean_distances(spec, 0.7, pts)
-        ref = np.linalg.norm(pts[:, None, :] - 0.7 * spec.means[None, :, :], axis=2)
+        dists = _mean_distances(spec, pts)
+        ref = np.linalg.norm(pts[:, None, :] - spec.means[None, :, :], axis=2)
         assert dists.shape == (4, 9000)
         np.testing.assert_array_equal(dists, ref.T)
-        assert _mean_distances(spec, 0.7, pts[5]).shape == (4,)
-        np.testing.assert_array_equal(_mean_distances(spec, 0.7, pts[5]), ref[5])
+        assert _mean_distances(spec, pts[5]).shape == (4,)
+        np.testing.assert_array_equal(_mean_distances(spec, pts[5]), ref[5])
 
     def test_fresh_samples_mostly_pass(self, anchor):
         spec_t = marginal_at(anchor, 0.5)
-        from gmdiff import ou_coefficients
-        a_t = ou_coefficients(0.5).a
-        params = calibrate_region(spec_t, a_t, sample(spec_t, 50000, seed=8))
+        params = calibrate_region(spec_t, sample(spec_t, 50000, seed=8))
         fresh = sample(spec_t, 20000, seed=9)
-        frac = float(region_mask(spec_t, a_t, fresh.points, params).mean())
+        frac = float(region_mask(spec_t, fresh.points, params).mean())
         assert frac >= 0.95
 
 
@@ -471,4 +486,4 @@ class TestBoundReport:
         assert rep.to_dict()["gamma"] == 0.0
         assert math.isfinite(rep.log_L)
         fresh = sample_array(spec, 2000, np.random.default_rng(2))
-        assert region_mask(spec, 1.0, fresh, rep.params).mean() >= 0.95
+        assert region_mask(spec, fresh, rep.params).mean() >= 0.95

@@ -99,6 +99,35 @@ class TestBoundsCommand:
         assert rep["det_min"] == 0.0
         assert "heuristic step count" in capsys.readouterr().out
 
+    def test_overflowing_determinant_written_as_null(self, tmp_path):
+        # 1e300 I at d = 3: the determinant e^2072 is past the double range
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps([[1.0, [0.0] * 3, (1e300 * np.eye(3)).tolist()]]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["bounds", "--spec", str(spec), "--out", str(out), "--seed", "1"])
+        assert rc == 0
+        rep = json.loads((out / "bounds.json").read_text(),
+                         parse_constant=self._reject_non_standard_constant)[0]
+        assert rep["det_min"] is None
+        assert rep["log_det_min"] == pytest.approx(3 * math.log(1e300), rel=1e-12)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_region_distance_exit_2_without_output(self, tmp_path, capsys):
+        # a valid spec whose squared distances to the mean overflow: R was
+        # written as 1.0 from a NaN percentile
+        bad = tmp_path / "wide.json"
+        bad.write_text(json.dumps([[1.0, [0.0], [[8e307]]]]))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["bounds", "--spec", str(bad), "--out", str(out), "--seed", "1"])
+        assert rc == 2
+        assert "region calibration overflows the double range" in capsys.readouterr().err
+        assert not (out / "bounds.json").exists() and not (out / "run.meta.json").exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_malformed_covariance_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -128,9 +157,12 @@ class TestBoundsCommand:
         ([[1.0, [1e200], [[1.0]]]], "component 0: |mean|^2 + tr(cov) overflows"),
         ([[1.0, [0.0, 0.0], [[1e308, 0.0], [0.0, 1e293]]]],
          "component 0: cov (symmetrized) overflows"),
+        # each component passes; the KL bound's d sigma_max + mu_max does not
+        ([[0.5, [1.3e154], [[1.0]]], [0.5, [0.0], [[8.9e307]]]],
+         "component 1: d * largest cov eigenvalue + largest |mean|^2 overflows"),
     ], ids=["true", "null", "-1", "[1e308]", "weight-null", "weight-nested",
             "mean-object", "cov-object", "dim-list", "pair", "string", "four-items",
-            "mean-missing", "mean-1e200", "cov-1e308"])
+            "mean-missing", "mean-1e200", "cov-1e308", "kl-across-components"])
     def test_malformed_spec_exit_2_without_output(self, tmp_path, capsys, raw, where):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))

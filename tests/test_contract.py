@@ -5,7 +5,8 @@ no run.meta.json behind.
 - `gmdiff bounds` on spec files drawn from a grammar of near-valid specs:
   wrong types, non-finite numbers, huge magnitudes, wrong shapes, missing
   keys and lists whose items are not (weight, mean, cov) triples. It exits
-  0 or 2, and a report it writes holds finite moments.
+  0 or 2 with no RuntimeWarning from gmdiff.bounds, and a report it writes
+  holds finite moments, KL bound and radius R.
 - `gmdiff sample` and `gmdiff sweep` with flag values drawn from nan,
   +-inf, 0, -1, tiny, huge and fractional, and `gmdiff replay` of configs
   with such values (or wrong types, or strings outside a key's parser
@@ -23,11 +24,13 @@ file to a few seconds.
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmdiff.bounds
 from gmdiff.cli import main
 
 numbers = st.one_of(
@@ -96,13 +99,20 @@ def test_bounds_on_any_spec_exits_0_or_2(raw):
         spec, out = Path(tmp) / "spec.json", Path(tmp) / "out"
         # json.dumps writes NaN and Infinity, which json.loads reads back
         spec.write_text(json.dumps(raw))
-        rc = main(["bounds", "--spec", str(spec), "--out", str(out), "--seed", "1"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["bounds", "--spec", str(spec), "--out", str(out), "--seed", "1"])
         assert rc in (0, 2)
         assert (out / "run.meta.json").exists() == (rc == 0)
+        # an overflow is refused or written as null, never warned about
+        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
+                    and Path(w.filename) == Path(gmdiff.bounds.__file__)]
         if rc == 0:
-            # a spec whose moments overflow is refused, not written as null
+            # a spec whose moments, KL bound or region overflow is refused,
+            # not written as null
             report = json.loads((out / "bounds.json").read_text())[0]
-            assert None not in (report["M2"], report["m2"], report["mu_max"]), report
+            assert None not in (report["M2"], report["m2"], report["mu_max"],
+                                report["kl_upper"], report["R"]), report
 
 
 ANCHOR = str(Path(__file__).resolve().parents[1] / "specs" / "standard_mixture_1d.json")

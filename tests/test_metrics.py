@@ -360,7 +360,7 @@ class TestSpectralProbe:
     def test_standard_normal_norms_are_one(self, std2d):
         params = ConditionParams(R=8.0, beta=0.01, log_gamma=math.log(1e-6))
         batch = sample(std2d, 2000, seed=16)
-        probe = jacobian_spectral_probe(std2d, batch, params, 1.0)
+        probe = jacobian_spectral_probe(std2d, batch, params)
         assert probe.max_norm == pytest.approx(1.0, abs=1e-10)
         assert probe.n_passing > 1500
 
@@ -368,7 +368,7 @@ class TestSpectralProbe:
         spec = validate_spec([(1.0, [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]])])
         params = ConditionParams(R=20.0, beta=0.01, log_gamma=math.log(1e-9))
         batch = sample(spec, 500, seed=17)
-        probe = jacobian_spectral_probe(spec, batch, params, 1.0)
+        probe = jacobian_spectral_probe(spec, batch, params)
         assert probe.max_norm == pytest.approx(1.0, abs=1e-10)
 
     def test_power_iteration_matches_dense_eigendecomposition(self):
@@ -383,7 +383,7 @@ class TestSpectralProbe:
         params = ConditionParams(R=1.0, beta=0.0999, log_gamma=math.log(0.0999))
         batch = SampleBatch(points=np.full((100, 1), 50.0), meta={})
         with pytest.raises(NoPointsInRegion):
-            jacobian_spectral_probe(std1d, batch, params, 1.0)
+            jacobian_spectral_probe(std1d, batch, params)
 
 
 def _eigvalsh_norms(mats):
@@ -403,7 +403,7 @@ _SAMPLE_METRICS = {
     "tv_histogram-reference": lambda pts, spec, grid, clean: tv_histogram(clean, pts, grid),
     "moment_diagnostics": lambda pts, spec, grid, clean: moment_diagnostics(pts, spec),
     "jacobian_spectral_probe": lambda pts, spec, grid, clean: jacobian_spectral_probe(
-        spec, pts, _PROBE_PARAMS, 1.0),
+        spec, pts, _PROBE_PARAMS),
 }
 
 
@@ -412,8 +412,8 @@ _SAMPLE_METRICS = {
 # falls outside the region), calibrate_region a batch of >= 1000 points
 _DIM_CHECKED = {
     **_SAMPLE_METRICS,
-    "region_mask": lambda pts, spec, grid, clean: region_mask(spec, 1.0, pts, _PROBE_PARAMS),
-    "calibrate_region": lambda pts, spec, grid, clean: calibrate_region(spec, 1.0, pts),
+    "region_mask": lambda pts, spec, grid, clean: region_mask(spec, pts, _PROBE_PARAMS),
+    "calibrate_region": lambda pts, spec, grid, clean: calibrate_region(spec, pts),
 }
 _WRONG_DIM_CASES = ([(m, kind) for m in _SAMPLE_METRICS for kind in ("array", "batch")]
                     + [("region_mask", "array"), ("calibrate_region", "batch")])

@@ -4,7 +4,8 @@ form, so no reference implementation and no sampling error enters.
 - OU semigroup: noising to t1 and then for t2 more is noising to t1 + t2,
   seen through the score; the marginal's second moment is a^2 M2 + b^2 d.
 - Translation: shifting the data law by c and the points by a_t c leaves
-  log_density, score and score_jacobian unchanged.
+  log_density, score and score_jacobian unchanged, and the condition region
+  calibrated on the shifted marginal holds the shifted points.
 - One component: score_jacobian is -Sigma^{-1}, and the convexity bound is
   the exact Gaussian KL to the standard normal.
 
@@ -17,10 +18,12 @@ component terms and their responsibilities.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmdiff import (
+    calibrate_region,
     kl_gaussian_exact,
     kl_to_standard_upper,
     log_density,
@@ -32,12 +35,16 @@ from gmdiff import (
     second_moment,
     validate_spec,
 )
+from gmdiff.bounds import region_mask
 from gmdiff.mixture import responsibilities, sample_array
+from gmdiff.samples import SampleBatch
+from gmdiff.suite import lipschitz_suite
 
 EPS = float(np.finfo(float).eps)
 # the multiple of the propagated rounding that a relation may miss by
 TOL = 32.0
 N_POINTS = 16
+SUITE = lipschitz_suite(2024)
 times = st.floats(0.0, 4.0)
 
 
@@ -74,6 +81,11 @@ def _rounding_scales(spec, x, shift):
     return logdens, sc, jac
 
 
+def _translated(spec, c):
+    return validate_spec([(w, m + c, cov)
+                          for w, m, cov in zip(spec.weights, spec.means, spec.covs)])
+
+
 def _within(got, ref, scale):
     err = np.abs(np.asarray(got) - np.asarray(ref)).reshape(len(scale), -1).max(axis=1)
     assert np.all(err <= TOL * scale), (err / scale).max()
@@ -104,10 +116,8 @@ def test_marginal_second_moment_is_a2_M2_plus_b2_d(spec, t):
 @settings(max_examples=150, deadline=None)
 def test_translation_leaves_density_score_and_jacobian_unchanged(spec, t, c):
     c = np.array(c[:spec.dim])
-    moved = validate_spec([(w, m + c, cov)
-                           for w, m, cov in zip(spec.weights, spec.means, spec.covs)])
     a = ou_coefficients(t).a
-    spec_t, moved_t = marginal_at(spec, t), marginal_at(moved, t)
+    spec_t, moved_t = marginal_at(spec, t), marginal_at(_translated(spec, c), t)
     x = _points(spec_t)
     x_moved = x + a * c
     # x + a c - a (mu_i + c) against x - a mu_i: a few roundings of each term
@@ -116,6 +126,46 @@ def test_translation_leaves_density_score_and_jacobian_unchanged(spec, t, c):
     scales = _rounding_scales(spec_t, x, shift)
     for fn, scale in zip((log_density, score, score_jacobian), scales):
         _within(fn(moved_t, x_moved), fn(spec_t, x), scale)
+
+
+def _region_scales(spec_t, x, a, c):
+    """Rounding scales of the distances |x - a_t mu_i| (n, k) and of the log
+    density (n,) at x when the points move by a_t c and the means by a_t c."""
+    shift = EPS * spec_t.dim * (np.abs(x).max(axis=1, keepdims=True)
+                                + a * np.abs(c).max() + np.abs(spec_t.means).max(axis=1))
+    dists = np.linalg.norm(x[:, None, :] - spec_t.means, axis=2)
+    return dists, shift + EPS * spec_t.dim * dists, _rounding_scales(spec_t, x, shift)[0]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("idx", range(6))
+@given(c=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2))
+@settings(max_examples=4, deadline=None)
+def test_translation_moves_the_calibrated_region(idx, t, c):
+    spec = SUITE[idx]
+    c = np.array(c[:spec.dim])
+    a = ou_coefficients(t).a
+    spec_t, moved_t = marginal_at(spec, t), marginal_at(_translated(spec, c), t)
+    rng = np.random.default_rng(idx)
+    calib, probe = sample_array(spec_t, 1000, rng), sample_array(spec_t, 1000, rng)
+    params = calibrate_region(spec_t, SampleBatch(points=calib, meta={}))
+    moved = calibrate_region(moved_t, SampleBatch(points=calib + a * c, meta={}))
+    # a percentile moves no further than the values it is taken from
+    _, dist_scale, log_scale = _region_scales(spec_t, calib, a, c)
+    for ref, got, scale in ((params.R, moved.R, dist_scale.max()),
+                            (params.beta, moved.beta, dist_scale.max()),
+                            (params.log_gamma, moved.log_gamma, log_scale.max())):
+        assert abs(got - ref) <= TOL * scale, (ref, got)
+    # decisions within rounding of a threshold may flip; every other one holds
+    dists, d_scale, l_scale = _region_scales(spec_t, probe, a, c)
+    d_tol, l_tol = TOL * (d_scale + dist_scale.max()), TOL * (l_scale + log_scale.max())
+    near = ((np.abs(dists - params.R) <= d_tol)
+            | (np.abs(dists - params.beta) <= d_tol)).any(axis=1)
+    near |= np.abs(log_density(spec_t, probe) - params.log_gamma) <= l_tol
+    assert near.mean() < 0.01
+    mask = region_mask(spec_t, probe, params)
+    np.testing.assert_array_equal(region_mask(moved_t, probe + a * c, moved)[~near], mask[~near])
+    assert 0 < mask.sum() < len(mask)
 
 
 @given(specs(k=1))
