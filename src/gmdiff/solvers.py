@@ -126,7 +126,9 @@ class FourierField:
         s = x[:, 0] * inv_h
         k = np.floor(s)
         s -= k
-        cf = np.take(coef, k.astype(np.intp) - k_lo, axis=0)
+        idx = k.astype(np.intp)
+        idx -= k_lo
+        cf = np.take(coef, idx, axis=0)
         out = cf[:, 0] * s
         out += cf[:, 1]
         out *= s
@@ -174,7 +176,13 @@ class ScoreModel:
     at the same t reuses the marginal (the corrector kicks and the next
     predictor share a time); one whose x also has the same shape, dtype and
     bytes (so +0.0 and -0.0 differ) returns the stored score (the closing
-    BAOAB kick and the next kick or predictor share a point). The key is a
+    BAOAB kick and the next kick or predictor share a point). Points are
+    keyed only when a time repeats: the first call at a new t keeps
+    (t, spec_t, None, None) and returns its fresh score as is, so EM and EI,
+    which never repeat a time, build no key and copy nothing. BAOAB loses
+    no hit, because every point it repeats was evaluated at the second call
+    of its time or later: the closing kick of step j at the opening kick of
+    step j + 1, the last closing kick at the next predictor. The key is a
     private copy of x and every call returns a fresh C-contiguous array, so
     mutating the argument or the result cannot corrupt the memo. The tuple
     is written in one step: threads sharing a model always read a
@@ -192,9 +200,10 @@ class ScoreModel:
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        x_key = (x.shape, x.dtype, x.tobytes())
         last = self._last
-        if last is not None and last[0] == t:
+        repeat = last is not None and last[0] == t
+        if repeat:
+            x_key = (x.shape, x.dtype, x.tobytes())
             if x_key == last[2]:
                 return last[3].copy()
             spec_t = last[1]
@@ -202,8 +211,13 @@ class ScoreModel:
             spec_t = marginal_at(self.spec0, t)
         s = score(spec_t, x)
         if self.field is not None:
-            s += self.epsilon0 * self.field(np.atleast_2d(x), t).reshape(s.shape)
+            u = self.field(np.atleast_2d(x), t).reshape(s.shape)
+            u *= self.epsilon0
+            s += u
         s = np.ascontiguousarray(s)
+        if not repeat:
+            object.__setattr__(self, "_last", (t, spec_t, None, None))
+            return s
         object.__setattr__(self, "_last", (t, spec_t, x_key, s))
         return s.copy()
 
@@ -254,8 +268,9 @@ def step_em(y: np.ndarray, h: float, s_val: np.ndarray, noise: np.ndarray) -> np
     y + h (y + 2 s) + sqrt(2 h) xi
     """
     out = (1.0 + h) * y
-    out += (2.0 * h) * s_val
-    out += math.sqrt(2.0 * h) * noise
+    scratch = np.multiply(2.0 * h, s_val)
+    out += scratch
+    out += np.multiply(math.sqrt(2.0 * h), noise, out=scratch)
     return out
 
 
@@ -270,16 +285,17 @@ def step_ei(y: np.ndarray, h: float, s_val: np.ndarray, noise: np.ndarray) -> np
     """
     em1 = math.expm1(h)
     out = (1.0 + em1) * y
-    out += (2.0 * em1) * s_val
-    out += math.sqrt(math.expm1(2.0 * h)) * noise
+    scratch = np.multiply(2.0 * em1, s_val)
+    out += scratch
+    out += np.multiply(math.sqrt(math.expm1(2.0 * h)), noise, out=scratch)
     return out
 
 
 def _guard(y: np.ndarray, step_index: int, t_forward: float, name: str = "y") -> None:
-    # single reduction: NaN fails the <= comparison, inf exceeds the limit;
-    # the failing chain is located only once the check has failed
-    peak = np.max(np.abs(y))
-    if not peak <= _DIVERGENCE_LIMIT:
+    # two reductions and no |y| temporary: a NaN propagates through both
+    # and fails the comparison, +-inf exceeds the limit; the failing chain
+    # is located only once the check has failed
+    if not (y.max() <= _DIVERGENCE_LIMIT and y.min() >= -_DIVERGENCE_LIMIT):
         chain = int(np.argmin(np.all(np.abs(y) <= _DIVERGENCE_LIMIT, axis=1)))
         raise NonFiniteState(
             f"chain {chain} diverged ({name}) at step {step_index}, "
@@ -301,19 +317,25 @@ def _reverse_loop(model: ScoreModel, T: float, rev: np.ndarray, advance, n: int,
     temporaries each step frees stay in the heap instead of going back to
     the kernel and faulting in again on the next step. glibc does this once
     per process and not at all when the user set a threshold; on other
-    allocators the block is a harmless allocation."""
+    allocators the block is a harmless allocation.
+
+    The steps run with numpy's overflow and invalid-value warnings off: a
+    chain that overflows inside a node (in the corrector, the field's cast
+    and cosine, the posterior's log terms) is reported by _guard alone, as
+    NonFiniteState, without a RuntimeWarning before it."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     np.empty(_FREED_BLOCK, dtype=np.uint8)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n, model.spec0.dim))
     v = rng.standard_normal(y.shape) if momentum else None
-    for k in range(len(rev) - 1):
-        t_next = T - rev[k + 1]
-        y, v = advance(y, v, rev[k + 1] - rev[k], model(T - rev[k], y), t_next, rng)
-        _guard(y, k, t_next)
-        if v is not None:
-            _guard(v, k, t_next, "v")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(rev) - 1):
+            t_next = T - rev[k + 1]
+            y, v = advance(y, v, rev[k + 1] - rev[k], model(T - rev[k], y), t_next, rng)
+            _guard(y, k, t_next)
+            if v is not None:
+                _guard(v, k, t_next, "v")
     meta.update(n=int(n), score_kind=model.kind, epsilon0=model.epsilon0)
     return SampleBatch(points=y, meta=meta)
 

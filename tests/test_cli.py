@@ -411,6 +411,20 @@ class TestSampleCommand:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["dpom", "dpum"])
+    def test_corrector_overflow_exits_3_without_numpy_warnings(self, spec_file, tmp_path,
+                                                               capsys, solver):
+        # the chains overflow inside the first node's corrector steps, before
+        # any guard runs; the guard alone reports it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sample", "--spec", spec_file, "--out", str(tmp_path / "d"),
+                       "--solver", solver, "--epsilon0", "1e300", "--corr-steps", "2",
+                       "--n", "3", "--N", "2", "--seed", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: chain 0 diverged (y) at step 0" in err
+        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_unexpected_error_exits_4(self, spec_file, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

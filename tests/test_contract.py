@@ -12,7 +12,8 @@ no run.meta.json behind.
   with such values (or wrong types, or strings outside a key's parser
   choices) in one or two keys, or with one or two keys deleted. They exit
   0, 2 or 3: a huge but finite epsilon0 or step is a valid run whose
-  chains diverge, the numerical-failure exit. An out-of-choice solver,
+  chains diverge, the numerical-failure exit, with no RuntimeWarning from
+  gmdiff.solvers or gmdiff.mixture before it. An out-of-choice solver,
   schedule or axis, or a deleted key, exits 2.
 
 The counts of chains, steps, corrector steps and bins are capped, so an
@@ -31,6 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmdiff.bounds
+import gmdiff.mixture
+import gmdiff.solvers
 from gmdiff.cli import main
 
 numbers = st.one_of(
@@ -92,6 +95,13 @@ def spec_json(draw):
     return draw(anything)
 
 
+def _runtime_warnings(caught, *modules) -> list[str]:
+    """Messages of the RuntimeWarnings in caught raised from the modules' files."""
+    files = {Path(m.__file__) for m in modules}
+    return [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning) and Path(w.filename) in files]
+
+
 @given(spec_json())
 @settings(max_examples=150, deadline=None)
 def test_bounds_on_any_spec_exits_0_or_2(raw):
@@ -105,8 +115,7 @@ def test_bounds_on_any_spec_exits_0_or_2(raw):
         assert rc in (0, 2)
         assert (out / "run.meta.json").exists() == (rc == 0)
         # an overflow is refused or written as null, never warned about
-        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
-                    and Path(w.filename) == Path(gmdiff.bounds.__file__)]
+        assert not _runtime_warnings(caught, gmdiff.bounds)
         if rc == 0:
             # a spec whose moments, KL bound or region overflow is refused,
             # not written as null
@@ -220,9 +229,13 @@ def _exit_code(argv) -> int:
 def _check_flags(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        rc = _exit_code([*argv, "--spec", ANCHOR, "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = _exit_code([*argv, "--spec", ANCHOR, "--out", str(out)])
         assert rc in (0, 2, 3)
         assert (out / "run.meta.json").exists() == (rc == 0)
+        # a diverging chain is reported by the exit code alone
+        assert not _runtime_warnings(caught, gmdiff.solvers, gmdiff.mixture)
 
 
 @given(flags(["sample"], SAMPLE_VALID, SAMPLE_BAD))
@@ -243,7 +256,10 @@ def test_replayed_config_exits_0_2_or_3(config):
     with tempfile.TemporaryDirectory() as tmp:
         meta, out = Path(tmp) / "run.meta.json", Path(tmp) / "out"
         meta.write_text(json.dumps({"command": config.get("command"), "config": config}))
-        rc = _exit_code(["replay", str(meta), "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = _exit_code(["replay", str(meta), "--out", str(out)])
         must_fail = _out_of_choice(config) or not set(CONFIG_KEYS) <= set(config)
         assert rc in ((2,) if must_fail else (0, 2, 3))
         assert (out / "run.meta.json").exists() == (rc == 0)
+        assert not _runtime_warnings(caught, gmdiff.solvers, gmdiff.mixture)

@@ -8,6 +8,10 @@ form, so no reference implementation and no sampling error enters.
   calibrated on the shifted marginal holds the shifted points.
 - One component: score_jacobian is -Sigma^{-1}, and the convexity bound is
   the exact Gaussian KL to the standard normal.
+- Permutation and splitting: reordering the components, or splitting one
+  into two copies of half its weight, leaves log_density, score,
+  score_jacobian and spectral_summary unchanged, at d = 1 and at d >= 2
+  (the posterior kernel has one branch for each).
 
 Specs have d <= 5, k <= 5, covariance eigenvalues in [0.25, 4] and means
 drawn with a spread of up to 20, so components sit up to about 60 standard
@@ -33,6 +37,7 @@ from gmdiff import (
     score,
     score_jacobian,
     second_moment,
+    spectral_summary,
     validate_spec,
 )
 from gmdiff.bounds import region_mask
@@ -49,8 +54,8 @@ times = st.floats(0.0, 4.0)
 
 
 @st.composite
-def specs(draw, k=None):
-    d = draw(st.integers(1, 5))
+def specs(draw, k=None, dims=(1, 5)):
+    d = draw(st.integers(*dims))
     k = draw(st.integers(1, 5)) if k is None else k
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return random_spec(d, k, rng, eig_range=(0.25, 4.0), mean_scale=draw(st.floats(0.0, 20.0)))
@@ -89,6 +94,25 @@ def _translated(spec, c):
 def _within(got, ref, scale):
     err = np.abs(np.asarray(got) - np.asarray(ref)).reshape(len(scale), -1).max(axis=1)
     assert np.all(err <= TOL * scale), (err / scale).max()
+
+
+def _rebuilt(spec, triples):
+    return validate_spec([(w, spec.means[i], spec.covs[i]) for w, i in triples])
+
+
+def _same_mixture(spec, other):
+    """other is spec with its components reordered or split: the pointwise
+    quantities agree to rounding, and spectral_summary to rounding of the
+    per-component values it takes the extremes of."""
+    x = _points(spec)
+    scales = _rounding_scales(spec, x, np.zeros((len(x), 1)))
+    for fn, scale in zip((log_density, score, score_jacobian), scales):
+        _within(fn(other, x), fn(spec, x), scale)
+    ref, got = spectral_summary(spec), spectral_summary(other)
+    log_det_scale = spec.dim * (1.0 + np.abs(np.log(spec.eigvals)).max())
+    for name, scale in (("sigma_min", ref.sigma_min), ("sigma_max", ref.sigma_max),
+                        ("log_det_min", log_det_scale), ("mu_max", ref.mu_max)):
+        assert abs(getattr(got, name) - getattr(ref, name)) <= TOL * EPS * scale, name
 
 
 @given(specs(), times, times)
@@ -190,3 +214,29 @@ def test_one_component_convexity_bound_is_the_exact_kl(spec):
     scale = (lam.sum() + spec.means[0] @ spec.means[0] + d + abs(spec.log_dets[0])
              + d * lam[-1] / lam[0])
     assert abs(kl_to_standard_upper(spec).convexity_bound - exact) <= TOL * EPS * scale
+
+
+dims = pytest.mark.parametrize("dims", [(1, 1), (2, 5)], ids=["d1", "d2-5"])
+
+
+@dims
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reordering_components_changes_nothing(dims, data):
+    spec = data.draw(specs(dims=dims))
+    order = data.draw(st.permutations(range(spec.k)))
+    _same_mixture(spec, _rebuilt(spec, [(spec.weights[i], i) for i in order]))
+
+
+@dims
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_splitting_a_component_changes_nothing(dims, data):
+    spec = data.draw(specs(dims=dims))
+    j = data.draw(st.integers(0, spec.k - 1))
+    # halving is exact, so the two copies carry exactly the weight of one
+    triples = [(w, i) for i, w in enumerate(spec.weights) if i != j]
+    half = 0.5 * spec.weights[j]
+    position = data.draw(st.integers(0, len(triples)))
+    triples[position:position] = [(half, j), (half, j)]
+    _same_mixture(spec, _rebuilt(spec, triples))

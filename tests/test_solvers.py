@@ -144,6 +144,32 @@ class TestScoreModel:
             np.testing.assert_array_equal(model(0.8, x), score(spec_t, x))
             assert len(computed) == 4
 
+    def test_points_are_keyed_only_when_a_time_repeats(self, monkeypatch):
+        computed = []
+
+        def counting(spec, x):
+            computed.append(1)
+            return score(spec, x)
+
+        monkeypatch.setattr(gmdiff.solvers, "score", counting)
+        spec = make_random_spec(2, 3, seed=14)
+        model = make_score_model(spec, "perturbed", 0.3, seed=2)
+        reference = _Recomputing(model)
+        x = np.random.default_rng(15).normal(size=(20, 2))
+        first = model(0.4, x)
+        # a new time keeps its marginal only: no key, no score, no copy
+        assert model._last[0] == 0.4 and model._last[2:] == (None, None)
+        assert first.flags.c_contiguous
+        np.testing.assert_array_equal(first, reference(0.4, x))
+        # the second call at that time computes again and keys its point
+        np.testing.assert_array_equal(model(0.4, x), reference(0.4, x))
+        assert len(computed) == 2 and model._last[2] is not None
+        np.testing.assert_array_equal(model(0.4, x), reference(0.4, x))
+        assert len(computed) == 2
+        # a new time drops the key again
+        model(0.5, x)
+        assert len(computed) == 3 and model._last[2:] == (None, None)
+
     def test_zero_epsilon_forces_exact(self, anchor):
         model = make_score_model(anchor, "perturbed", 0.0, seed=3)
         assert model.kind == "exact"
@@ -540,6 +566,33 @@ class TestRunSampler:
             run_sampler(make_score_model(anchor), uniform_grid(1.0, 4), "rk4", 10, 1)
 
 
+class TestGuard:
+    """_guard passes every |y| <= 1e8 and fails anything past it, NaN and
+    +-inf included, naming the first bad chain, the step and the time."""
+
+    @staticmethod
+    def _states(value):
+        y = np.zeros((6, 2))
+        y[4, 1] = value
+        y[2, 0] = value
+        return y
+
+    @pytest.mark.parametrize("value", [1e8, -1e8])
+    def test_limit_itself_passes(self, value):
+        _guard(self._states(value), 0, 1.0)
+        _guard(np.full((3, 1), value), 0, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nextafter(1e8, math.inf), -np.nextafter(1e8, math.inf),
+                                       math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["y", "v"])
+    def test_past_the_limit_fails_naming_chain_step_and_time(self, value, name):
+        with pytest.raises(NonFiniteState) as info:
+            _guard(self._states(value), 7, np.float64(0.375), name)
+        exc = info.value
+        assert (exc.chain, exc.step_index, exc.t_forward) == (2, 7, 0.375)
+        assert str(exc) == f"chain 2 diverged ({name}) at step 7, forward time t = 0.375"
+
+
 class TestStandardNormalInvariance:
     """With the exact score N(0, I) is every forward marginal of N(0, I), so
     all four samplers must return it, up to the CLT band and the O(h) bias
@@ -751,8 +804,9 @@ class TestScoreMemoInSamplers:
 
     # BAOAB: each node computes its first opening kick and every closing
     # kick; the next opening kick and the next predictor reuse the last one,
-    # so only the first predictor adds to (c + 1) per node. The other
-    # samplers move y between any two calls and never reuse.
+    # so only the first predictor adds to (c + 1) per node. Each reused
+    # point was evaluated at the second call of its time or later, so it was
+    # keyed. The other samplers move y between any two calls and never reuse.
     @pytest.mark.parametrize("solver, corr_steps, expected", [
         ("em", 0, 12), ("ei", 0, 12), ("dpom", 2, 3 * 12),
         ("dpum", 1, 2 * 12 + 1), ("dpum", 2, 3 * 12 + 1), ("dpum", 3, 4 * 12 + 1)])
@@ -764,8 +818,12 @@ class TestScoreMemoInSamplers:
             return score(spec, x)
 
         monkeypatch.setattr(gmdiff.solvers, "score", counting)
-        _sample_points(make_score_model(anchor), solver, corr_steps, n_steps=12)
+        model = make_score_model(anchor)
+        _sample_points(model, solver, corr_steps, n_steps=12)
         assert len(computed) == expected
+        if solver in ("em", "ei"):
+            # a time never repeats, so no point is keyed and no score kept
+            assert model._last[2:] == (None, None)
 
     def test_in_place_baoab_matches_out_of_place_reference(self):
         model = make_score_model(make_random_spec(2, 3, seed=30))
