@@ -25,8 +25,7 @@ def main() -> None:
     args = ap.parse_args()
 
     spec = load_spec(args.spec)
-    model = make_score_model(spec, "perturbed" if args.epsilon0 > 0 else "exact",
-                             args.epsilon0, seed=args.seed)
+    model = make_score_model(spec, "perturbed", args.epsilon0, seed=args.seed)
     grid = uniform_grid(args.T, args.N)
     h_pred = args.T / (args.N // 4)
     batches = {

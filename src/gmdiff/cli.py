@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import LOG_FLOAT_MAX, bound_report
 from .errors import GmdiffError, NonFiniteState
-from .fileio import load_spec, save_bound_reports, save_sweep_csv
+from .fileio import load_spec, save_json, save_sweep_csv
 from .metrics import convergence_sweep
 from .mixture import GmmSpec
 from .schedules import check_grid_args, exp_decay_grid, uniform_grid
@@ -100,10 +100,6 @@ class RunConfig:
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {list(allowed)} for "
                                  f"{self.command}, got {getattr(self, name)!r}")
-
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, "config": asdict(self)},
-                          indent=2, sort_keys=True)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -180,7 +176,7 @@ def cmd_bounds(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
         raise ValueError(f"--eps must be positive and finite, got {cfg.eps!r}")
     times = sorted(set([0.0] + [float(t) for t in cfg.t_list]))
     reports = [bound_report(spec, t, seed=cfg.seed) for t in times]
-    save_bound_reports(reports, out_dir / "bounds.json")
+    save_json([r.to_dict() for r in reports], out_dir / "bounds.json")
     # log space: L itself can exceed the double range at high d
     log_n = (2.0 * max(r.log_L for r in reports) + math.log(spec.dim)
              - 2.0 * math.log(cfg.eps))
@@ -200,8 +196,7 @@ def cmd_sample(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     h_pred = cfg.h_pred if cfg.h_pred is not None else cfg.T / cfg.N
     h_corr = cfg.h_corr if cfg.h_corr is not None else h_pred / 4.0
     check_corrector_args(h_pred, h_corr, cfg.corr_steps, cfg.friction)
-    model = make_score_model(spec, "perturbed" if cfg.epsilon0 > 0 else "exact",
-                             cfg.epsilon0, seed=cfg.seed)
+    model = make_score_model(spec, "perturbed", cfg.epsilon0, seed=cfg.seed)
     if cfg.solver in ("em", "ei"):
         if cfg.schedule == "uniform":
             grid = uniform_grid(cfg.T, cfg.N, cfg.delta)
@@ -221,10 +216,11 @@ def cmd_sample(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
+    if not math.isfinite(cfg.T):  # run.meta.json could record it only as null
+        raise ValueError(f"--T must be finite for every suite, got {cfg.T!r}")
     kwargs = {"t": cfg.T} if cfg.suite == "mixture" else {}
     checks = SUITES[cfg.suite](spec, seed=cfg.seed, **kwargs)
-    payload = [c.to_dict() for c in checks]
-    (out_dir / "verify.json").write_text(json.dumps(payload, indent=2) + "\n")
+    save_json([c.to_dict() for c in checks], out_dir / "verify.json")
     all_ok = all(c.passed for c in checks)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -277,7 +273,8 @@ def _run(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     code = DISPATCH[cfg.command](cfg, spec, out_dir)
-    (out_dir / "run.meta.json").write_text(cfg.to_json() + "\n")
+    save_json({"command": cfg.command, "config": asdict(cfg)}, out_dir / "run.meta.json",
+              sort_keys=True)
     return code
 
 

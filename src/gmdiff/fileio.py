@@ -1,5 +1,5 @@
-"""On-disk formats: mixture spec files (JSON), bound reports and sweep
-CSVs. Floats round-trip exactly through repr."""
+"""On-disk formats: mixture spec files and every other JSON record, and
+sweep CSVs. Floats round-trip exactly through repr."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import math
 from pathlib import Path
 
-from .bounds import BoundReport
 from .metrics import SweepResult
 from .mixture import GmmSpec, validate_spec
 
@@ -18,16 +17,24 @@ def load_spec(path: str | Path) -> GmmSpec:
     return validate_spec(raw)
 
 
+def _strict(value):
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def save_json(payload, path: str | Path, sort_keys: bool = False) -> None:
+    """Write payload as strict (RFC 8259) JSON, 2-space indented, with a
+    trailing newline; a non-finite float at any depth is written as null.
+    sort_keys keeps the sorted keys of run.meta.json and samples.meta.json."""
+    text = json.dumps(_strict(payload), indent=2, sort_keys=sort_keys, allow_nan=False)
+    Path(path).write_text(text + "\n")
+
+
 def save_spec(spec: GmmSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec.to_dict(), indent=2) + "\n")
-
-
-def save_bound_reports(reports: list[BoundReport], path: str | Path) -> None:
-    """Write the reports as strict JSON: a non-finite value (L past the
-    double range) is written as null; its log, log_L, stays finite."""
-    payload = [{key: value if math.isfinite(value) else None
-                for key, value in r.to_dict().items()} for r in reports]
-    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    save_json(spec.to_dict(), path)
 
 
 def save_sweep_csv(result: SweepResult, path: str | Path) -> None:
@@ -38,8 +45,5 @@ def save_sweep_csv(result: SweepResult, path: str | Path) -> None:
                      f"{repr(row.value)},{repr(row.stderr)}")
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
-    path.with_suffix(".summary.json").write_text(json.dumps({
-        "slope": result.slope,
-        "slope_half_width": result.slope_half_width,
-        "n_points": len(result.rows),
-    }, indent=2) + "\n")
+    save_json({"slope": result.slope, "slope_half_width": result.slope_half_width,
+               "n_points": len(result.rows)}, path.with_suffix(".summary.json"))

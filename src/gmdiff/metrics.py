@@ -421,14 +421,9 @@ def convergence_sweep(spec0: GmmSpec, scheme: str, axis: str,
     def run_one(idx: int) -> SweepRow:
         value = values[idx]
         run_seed = int(children[idx].generate_state(1)[0])
-        if axis == "N":
-            model = make_score_model(spec0, "perturbed" if fixed_epsilon0 > 0 else "exact",
-                                     fixed_epsilon0, seed=seed)
-            tgrid = uniform_grid(T, int(value), delta)
-        else:
-            model = make_score_model(spec0, "perturbed", float(value), seed=seed)
-            tgrid = uniform_grid(T, fixed_N, delta)
-        batch = run_sampler(model, tgrid, scheme, n, run_seed)
+        epsilon0, N = (fixed_epsilon0, int(value)) if axis == "N" else (value, fixed_N)
+        model = make_score_model(spec0, "perturbed", epsilon0, seed=seed)
+        batch = run_sampler(model, uniform_grid(T, N, delta), scheme, n, run_seed)
         res = kl_histogram(batch, reference, grid)
         return SweepRow(float(value), "kl_histogram", res.value, res.stderr)
 

@@ -56,8 +56,8 @@ class SampleBatch:
         cells = map(repr, self.points.ravel().tolist())
         rows = map(",".join, zip(*[cells] * d))
         path.write_text("\n".join([header, *rows]) + "\n")
-        meta = json.dumps(self.meta, indent=2, sort_keys=True)
-        path.with_suffix(".meta.json").write_text(meta + "\n")
+        from .fileio import save_json  # not at the top: fileio imports this module
+        save_json(self.meta, path.with_suffix(".meta.json"), sort_keys=True)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SampleBatch":

@@ -168,9 +168,10 @@ class FourierField:
 class ScoreModel:
     """Evaluates s_t(x) for the forward marginal of spec0 at time t.
 
-    kind "exact" returns the analytic mixture score; kind "perturbed" adds
-    epsilon0 times a fixed unit-RMS Fourier field, so the grid-weighted
-    mean-squared score error is epsilon0^2 up to Monte-Carlo accuracy.
+    epsilon0 is the score error applied. kind "exact" returns the analytic
+    mixture score, with epsilon0 = 0.0; kind "perturbed" adds epsilon0 times
+    a fixed unit-RMS Fourier field, so the grid-weighted mean-squared score
+    error is epsilon0^2 up to Monte-Carlo accuracy.
 
     The last evaluation is kept as one (t, spec_t, x_key, s) tuple. A call
     at the same t reuses the marginal (the corrector kicks and the next
@@ -236,7 +237,8 @@ def check_epsilon0(epsilon0: float) -> None:
 
 def make_score_model(spec0: GmmSpec, kind: str = "exact", epsilon0: float = 0.0,
                      seed: int | None = None) -> ScoreModel:
-    """Build an exact or perturbed score model; epsilon0 = 0 forces exact.
+    """The one rule that picks the kind: perturbed with error epsilon0 when
+    kind is "perturbed" and epsilon0 > 0, else exact with epsilon0 = 0.0.
 
     The perturbation field is normalized to unit RMS against probe points
     drawn from the forward marginals of spec0, time-averaged uniformly over
@@ -259,7 +261,7 @@ def make_score_model(spec0: GmmSpec, kind: str = "exact", epsilon0: float = 0.0,
             u = field(x, t)
             mean_sq += float(np.mean(np.sum(u * u, axis=1)))
         field = field.rescaled(1.0 / math.sqrt(mean_sq / _PROBE_NODES))
-    return ScoreModel(spec0=spec0, epsilon0=float(epsilon0), field=field)
+    return ScoreModel(spec0, float(epsilon0) if field is not None else 0.0, field)
 
 
 def step_em(y: np.ndarray, h: float, s_val: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -438,7 +440,7 @@ def run_predictor_corrector(model: ScoreModel, T: float, h_pred: float,
         y = (1.0 + em1) * y + em1 * s_val
         if variant == "overdamped":
             return _corrector_overdamped(model, t_next, y, h_corr,
-                                         corr_steps_per_node, rng), v
+                                         corr_steps_per_node, rng), None
         return _corrector_underdamped(model, t_next, y, v, h_corr,
                                       corr_steps_per_node, friction, rng)
 

@@ -36,6 +36,13 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _strict_json(path):
+    """The JSON file at path, parsed as RFC 8259 allows: NaN and Infinity raise."""
+    def reject(token):
+        raise ValueError(f"{path} is not strict JSON: it holds {token}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def _one_component_spec(**field):
     return {"dim": 1, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]], **field}]}
 
@@ -673,6 +680,30 @@ class TestVerifyCommand:
         assert rc == 1
         assert "[FAIL] always_fails" in capsys.readouterr().out
         assert json.loads((out / "run.meta.json").read_text())["command"] == "verify"
+
+    def test_threshold_past_double_range_written_as_null(self, tmp_path):
+        # a 1e-150 I covariance: L at t = 0 is past the double range, both in
+        # bounds.json and as the lipschitz suite's threshold
+        spec = tmp_path / "narrow.json"
+        spec.write_text(json.dumps({"dim": 2, "components": [
+            {"weight": 1.0, "mean": [0, 0], "cov": [[1e-150, 0], [0, 1e-150]]}]}))
+        for command in (["bounds"], ["verify", "lipschitz"]):
+            assert main([*command, "--spec", str(spec), "--out", str(tmp_path / command[-1]),
+                         "--seed", "1"]) == 0
+        assert _strict_json(tmp_path / "bounds" / "bounds.json")[0]["L"] is None
+        first = _strict_json(tmp_path / "lipschitz" / "verify.json")[0]
+        assert first["check"] == "jacobian_norm_below_L_at_t=0.0"
+        assert first["threshold"] is None
+
+    @pytest.mark.parametrize("suite", ["score", "lipschitz", "mixture"])
+    @pytest.mark.parametrize("T", ["nan", "inf"])
+    def test_non_finite_T_exit_2_for_every_suite(self, spec_file, tmp_path, capsys, suite, T):
+        # run.meta.json could record it only as null, which would not replay
+        out = tmp_path / "v"
+        assert main(["verify", suite, "--spec", spec_file, "--out", str(out),
+                     "--T", T, "--seed", "1"]) == 2
+        assert "--T must be finite" in capsys.readouterr().err
+        assert not (out / "run.meta.json").exists()
 
 
 class TestSweepCommand:

@@ -95,6 +95,18 @@ def spec_json(draw):
     return draw(anything)
 
 
+def _reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def _assert_strict_json(out: Path, rc: int) -> None:
+    """Every *.json a run that exits 0 or 1 leaves in out parses as strict
+    JSON: a NaN or Infinity token makes the parse raise."""
+    if rc in (0, 1):
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def _runtime_warnings(caught, *modules) -> list[str]:
     """Messages of the RuntimeWarnings in caught raised from the modules' files."""
     files = {Path(m.__file__) for m in modules}
@@ -114,6 +126,7 @@ def test_bounds_on_any_spec_exits_0_or_2(raw):
             rc = main(["bounds", "--spec", str(spec), "--out", str(out), "--seed", "1"])
         assert rc in (0, 2)
         assert (out / "run.meta.json").exists() == (rc == 0)
+        _assert_strict_json(out, rc)
         # an overflow is refused or written as null, never warned about
         assert not _runtime_warnings(caught, gmdiff.bounds)
         if rc == 0:
@@ -234,6 +247,7 @@ def _check_flags(argv):
             rc = _exit_code([*argv, "--spec", ANCHOR, "--out", str(out)])
         assert rc in (0, 2, 3)
         assert (out / "run.meta.json").exists() == (rc == 0)
+        _assert_strict_json(out, rc)
         # a diverging chain is reported by the exit code alone
         assert not _runtime_warnings(caught, gmdiff.solvers, gmdiff.mixture)
 
@@ -262,4 +276,5 @@ def test_replayed_config_exits_0_2_or_3(config):
         must_fail = _out_of_choice(config) or not set(CONFIG_KEYS) <= set(config)
         assert rc in ((2,) if must_fail else (0, 2, 3))
         assert (out / "run.meta.json").exists() == (rc == 0)
+        _assert_strict_json(out, rc)
         assert not _runtime_warnings(caught, gmdiff.solvers, gmdiff.mixture)

@@ -8,7 +8,7 @@ from gmdiff.bounds import bound_report
 from gmdiff.errors import EmptyBatch, NonFiniteParameter
 from gmdiff.fileio import (
     load_spec,
-    save_bound_reports,
+    save_json,
     save_spec,
     save_sweep_csv,
 )
@@ -100,7 +100,7 @@ def test_sample_batch_csv_rejects_non_finite_cell(tmp_path, cell):
 def test_bound_report_json(tmp_path, anchor):
     rep = bound_report(anchor, 0.0, seed=0)
     path = tmp_path / "bounds.json"
-    save_bound_reports([rep], path)
+    save_json([rep.to_dict()], path)
     raw = json.loads(path.read_text())
     assert len(raw) == 1
     assert raw[0]["t"] == 0.0

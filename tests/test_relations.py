@@ -12,6 +12,10 @@ form, so no reference implementation and no sampling error enters.
   into two copies of half its weight, leaves log_density, score,
   score_jacobian and spectral_summary unchanged, at d = 1 and at d >= 2
   (the posterior kernel has one branch for each).
+- Rotation: for an orthogonal Q, the spec (w_i, Q mu_i, Q Sigma_i Q^T) at
+  Q x has the log_density of the spec at x, the score Q s(x) and the
+  Jacobian Q H(x) Q^T; spectral_summary, second_moment and both
+  kl_to_standard_upper bounds are unchanged. At d = 1 and at d >= 2.
 
 Specs have d <= 5, k <= 5, covariance eigenvalues in [0.25, 4] and means
 drawn with a spread of up to 20, so components sit up to about 60 standard
@@ -65,23 +69,27 @@ def _points(spec, seed=0):
     return sample_array(spec, N_POINTS, np.random.default_rng(seed))
 
 
-def _rounding_scales(spec, x, shift):
+def _rounding_scales(spec, x, shift, prec=0.0):
     """Bounds, up to a constant, on the rounding error of log_density, score
     and score_jacobian at each point x when every difference x - mu_i is
-    off by shift (n, k) and every precision by eps relative."""
+    off by shift (n, k) and every precision by eps relative, plus prec (k,)
+    relative more, which moves each of the d log-eigenvalues by prec too."""
     diff = x[:, None, :] - spec.means                            # (n, k, d)
     g = np.einsum("kij,nkj->nki", spec.inv_covs, diff)           # P_i (x - mu_i)
     g_norm = np.linalg.norm(g, axis=2)
     quad = np.sum(diff * g, axis=2)
     p_norm = np.linalg.norm(spec.inv_covs, ord=2, axis=(1, 2))  # (k,)
+    dist = np.linalg.norm(diff, axis=2)
     r = responsibilities(spec, x)                                # (n, k)
-    d_log = g_norm * shift + EPS * (1.0 + 0.5 * quad + np.abs(spec.log_norms))
+    d_log = (g_norm * shift + EPS * (1.0 + 0.5 * quad + np.abs(spec.log_norms))
+             + prec * 0.5 * (p_norm * dist ** 2 + spec.dim))
     d_r = r * (d_log + np.sum(r * d_log, axis=1, keepdims=True))
-    d_g = p_norm * shift + EPS * g_norm
+    d_g = p_norm * shift + EPS * g_norm + prec * p_norm * dist
     s_norm = np.linalg.norm(np.sum(r[:, :, None] * g, axis=1), axis=1)
     logdens = np.sum(r * d_log, axis=1)
     sc = np.sum(r * d_g + d_r * g_norm, axis=1)
-    jac = (np.sum(r * (2.0 * g_norm * d_g) + (d_r + EPS * r) * (g_norm ** 2 + p_norm), axis=1)
+    jac = (np.sum(r * (2.0 * g_norm * d_g) + (d_r + (EPS + prec) * r) * (g_norm ** 2 + p_norm),
+                  axis=1)
            + 2.0 * s_norm * sc + EPS * s_norm ** 2)
     return logdens, sc, jac
 
@@ -240,3 +248,48 @@ def test_splitting_a_component_changes_nothing(dims, data):
     position = data.draw(st.integers(0, len(triples)))
     triples[position:position] = [(half, j), (half, j)]
     _same_mixture(spec, _rebuilt(spec, triples))
+
+
+@dims
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rotation_rotates_score_and_jacobian_and_keeps_the_bounds(dims, data):
+    spec = data.draw(specs(dims=dims))
+    d = spec.dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    rotated = validate_spec([(w, q @ m, q @ cov @ q.T)
+                             for w, m, cov in zip(spec.weights, spec.means, spec.covs)])
+    x = _points(spec)
+    # Q x - Q mu_i against x - mu_i: d roundings of each product, and Q is
+    # orthogonal to d eps
+    mu_norm = np.linalg.norm(spec.means, axis=1)
+    shift = EPS * d * (np.linalg.norm(x, axis=1, keepdims=True) + mu_norm)
+    # Q Sigma Q^T and its eigh are off by d eps lam_max, so each
+    # re-validated precision and eigenvalue is off by d eps cond relative
+    lam_min, lam_max = spec.eigvals[:, 0], spec.eigvals[:, -1]
+    cond = lam_max / lam_min
+    log_scale, score_scale, jac_scale = _rounding_scales(spec, x, shift, EPS * d * cond)
+    s, h = score(spec, x), score_jacobian(spec, x)
+    _within(log_density(rotated, x @ q.T), log_density(spec, x), log_scale)
+    # rotating the reference rounds too: d eps of its norm
+    s_scale = score_scale + EPS * d * np.linalg.norm(s, axis=1)
+    _within(score(rotated, x @ q.T), s @ q.T, s_scale)
+    h_scale = jac_scale + EPS * d * np.linalg.norm(h, ord=2, axis=(1, 2))
+    _within(score_jacobian(rotated, x @ q.T), q @ h @ q.T, h_scale)
+
+    # each eigenvalue moves by d eps lam_max, each log-determinant by d of
+    # them relative, each |mu|^2 by d eps of itself, each trace by d of them
+    log_dets = d * (d * cond + 1.0 + np.abs(np.log(spec.eigvals)).max(axis=1))
+    ref, got = spectral_summary(spec), spectral_summary(rotated)
+    for name, scale in (("sigma_min", d * lam_max.max()), ("sigma_max", d * lam_max.max()),
+                        ("log_det_min", log_dets.max()), ("mu_max", d * ref.mu_max)):
+        assert abs(getattr(got, name) - getattr(ref, name)) <= TOL * EPS * scale, name
+    per = d * (mu_norm ** 2 + d * lam_max)
+    assert abs(second_moment(rotated).M2 - second_moment(spec).M2) <= TOL * EPS * (
+        spec.weights @ per)
+    kl_ref, kl_got = kl_to_standard_upper(spec), kl_to_standard_upper(rotated)
+    bound_scale = 0.5 * (log_dets.max() + d * d * lam_max.max() + d * ref.mu_max + d)
+    assert abs(kl_got.bound - kl_ref.bound) <= TOL * EPS * bound_scale
+    convexity_scale = spec.weights @ (0.5 * (per + log_dets + d))
+    assert abs(kl_got.convexity_bound - kl_ref.convexity_bound) <= TOL * EPS * convexity_scale

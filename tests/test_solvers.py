@@ -174,6 +174,21 @@ class TestScoreModel:
         model = make_score_model(anchor, "perturbed", 0.0, seed=3)
         assert model.kind == "exact"
 
+    def test_zero_epsilon_perturbed_samples_as_exact(self, anchor):
+        # the rule the CLI, the sweep and the demo script rely on: they pass
+        # "perturbed" with whatever epsilon0 they were given
+        grid = uniform_grid(4.0, 16)
+        a = run_sampler(make_score_model(anchor, "perturbed", 0.0, seed=3), grid, "ei", 50, 2)
+        b = run_sampler(make_score_model(anchor), grid, "ei", 50, 2)
+        np.testing.assert_array_equal(a.points, b.points)
+        assert a.meta == b.meta
+
+    def test_exact_model_records_the_error_applied(self, anchor):
+        # an exact model applies no score error, whatever epsilon0 it was given
+        batch = run_sampler(make_score_model(anchor, "exact", 0.3), uniform_grid(4.0, 16),
+                            "ei", 20, 1)
+        assert (batch.meta["score_kind"], batch.meta["epsilon0"]) == ("exact", 0.0)
+
     def test_negative_epsilon_rejected(self, anchor):
         with pytest.raises(NegativeEpsilon):
             make_score_model(anchor, "perturbed", -0.1)
@@ -696,6 +711,16 @@ class TestPredictorCorrector:
                                 h_corr=0.02, corr_steps_per_node=corr_steps,
                                 variant=variant, delta=0.0, n=50, seed=3)
         assert len(calls) == n_steps + 1
+
+    def test_only_underdamped_guards_the_momentum(self, anchor, monkeypatch):
+        # dpom draws v, which keeps its seeded stream, but never moves it
+        names = []
+        monkeypatch.setattr(gmdiff.solvers, "_guard",
+                            lambda y, step, t, name="y": names.append(name))
+        for variant in ("overdamped", "underdamped"):
+            run_predictor_corrector(make_score_model(anchor), T=1.0, h_pred=0.25, h_corr=0.05,
+                                    corr_steps_per_node=1, variant=variant, n=4, seed=1)
+        assert names == ["y"] * 4 + ["y", "v"] * 4
 
     @pytest.mark.parametrize("bad", [math.nan, 1e15])
     def test_diverging_momentum_is_caught(self, anchor, bad):
