@@ -11,7 +11,8 @@ One binary, four subcommands plus replay:
 Every run that exits 0 or 1 writes run.meta.json with the fully resolved
 configuration (defaults and seed included); replaying that file reproduces
 the outputs byte for byte. Exit codes: 0 success, 1 verification failure,
-2 config/spec error, 3 numerical failure, 4 internal error.
+2 input at fault (spec, flag, replayed config or path), 3 numerical failure,
+4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class RunConfig:
             if (type(value) not in _ARG_TYPES[f.type]
                     or any(type(v) not in (int, float) for v in items)):
                 raise ValueError(f"{name} must be of type {f.type}, got {value!r}")
+            # every number but the seed (SeedSequence takes any integer) is used as a double
+            if name != "seed" and any(type(v) is int and abs(v) > sys.float_info.max
+                                      for v in [value, *items]):
+                raise ValueError(f"{name} holds an integer past the double range")
         if self.command not in CHOICES:
             raise ValueError(f"command must be one of {list(CHOICES)}, got {self.command!r}")
         for name, allowed in CHOICES[self.command].items():
@@ -253,6 +258,11 @@ def cmd_replay(meta_path: str, out_override: str | None) -> int:
     missing = [name for name in RunConfig.__dataclass_fields__ if name not in payload["config"]]
     if missing:
         raise ValueError(f"{meta_path}: config is missing {', '.join(missing)}")
+    # NaN, Infinity or 1e999 could be recorded again only as null, which does not replay
+    for name, value in payload["config"].items():
+        floats = [v for v in (value if type(value) is list else [value]) if type(v) is float]
+        if not all(map(math.isfinite, floats)):
+            raise ValueError(f"{meta_path}: {name} must be finite, got {value!r}")
     if out_override is not None:
         cfg.out = out_override
     return _run(cfg)
@@ -279,6 +289,10 @@ def _run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. Exit 2 means the input is
+    at fault: the spec, a flag, a replayed config, or a path that is missing,
+    is a directory or is in the way of --out (a GmdiffError, OSError or
+    ValueError). Exit 4 means any other exception, which is a bug."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -288,7 +302,7 @@ def main(argv=None) -> int:
     except NonFiniteState as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (GmdiffError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (GmdiffError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -445,6 +445,20 @@ class TestSampleCommand:
         assert err.startswith("internal error: RuntimeError: boom")
         assert err.count("\n") == 1
 
+    def test_key_error_in_a_handler_exits_4(self, spec_file, tmp_path, capsys, monkeypatch):
+        """No spec, flag or replay path raises KeyError, so one is a bug."""
+        def broken(*args, **kwargs):
+            raise KeyError("lost")
+
+        monkeypatch.setitem(gmdiff.cli.DISPATCH, "sample", broken)
+        out = tmp_path / "x"
+        rc = main(["sample", "--spec", spec_file, "--out", str(out), "--seed", "1"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: KeyError: 'lost'")
+        assert err.count("\n") == 1
+        assert not (out / "run.meta.json").exists()
+
 
 @pytest.mark.parametrize("command", [["sample"], ["verify", "score"]])
 def test_negative_seed_exit_2_before_any_output(spec_file, tmp_path, capsys, command):
@@ -599,6 +613,109 @@ def test_threads_is_a_sweep_flag_only(spec_file, tmp_path, command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("where", ["spec", "replay", "out", "under-out"])
+def test_path_at_fault_exit_2_without_record(spec_file, tmp_path, capsys, where):
+    """A directory as --spec or as the replayed file, or an --out that is an
+    existing file or lies under one, is an input at fault."""
+    in_the_way = tmp_path / "file"
+    in_the_way.write_text("kept")
+    out = {"out": in_the_way, "under-out": in_the_way / "sub"}.get(where, tmp_path / "o")
+    spec = str(tmp_path) if where == "spec" else spec_file
+    argv = (["replay", str(tmp_path), "--out", str(out)] if where == "replay" else
+            ["bounds", "--spec", spec, "--out", str(out), "--seed", "1"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert in_the_way.read_text() == "kept"
+    assert not list(tmp_path.rglob("run.meta.json"))
+
+
+# small runs of each command, whose run.meta.json the replay tests edit
+RECORDED = {
+    "sample": ["sample", "--N", "4", "--n", "10"],
+    "sweep": ["sweep", "N", "--values", "2", "4", "8", "16", "--n", "20", "--bins", "10"],
+    "bounds": ["bounds"],
+    "verify": ["verify", "score"],
+}
+HUGE_INT = 10 ** 400
+
+
+def _record(spec_file, out, command, seed="1"):
+    """The run.meta.json payload of a small run of command, written to out."""
+    assert main([*RECORDED[command], "--spec", spec_file, "--out", str(out),
+                 "--seed", seed]) == 0
+    return json.loads((out / "run.meta.json").read_text())
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["sample", "--N", str(HUGE_INT), "--n", "10"], "N"),
+    (["sweep", "N", "--values", "2", "4", "8", "16", "--n", "20", "--bins", str(HUGE_INT)],
+     "bins"),
+])
+def test_integer_flag_past_double_range_exit_2(spec_file, tmp_path, capsys, argv, key):
+    out = tmp_path / "o"
+    assert main([*argv, "--spec", spec_file, "--out", str(out), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {key} holds an integer past the double range\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("sample", "T"), ("sample", "K"), ("sample", "friction"), ("sample", "epsilon0"),
+    ("sample", "N"), ("sample", "h_pred"), ("sample", "h_corr"), ("sweep", "bins"),
+    ("bounds", "eps"), ("sweep", "values"), ("bounds", "t_list"), ("verify", "T"),
+])
+def test_integer_past_double_range_in_replayed_config_exit_2(spec_file, tmp_path, capsys,
+                                                             command, key):
+    """A number no double can hold is refused before the spec is read; in a
+    list it is refused as one item among valid ones."""
+    meta = _record(spec_file, tmp_path / "recorded", command)
+    value = meta["config"][key]
+    meta["config"][key] = [*value[:-1], HUGE_INT] if type(value) is list else HUGE_INT
+    (tmp_path / "huge.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    again = tmp_path / "again"
+    assert main(["replay", str(tmp_path / "huge.json"), "--out", str(again)]) == 2
+    assert capsys.readouterr().err == f"error: {key} holds an integer past the double range\n"
+    assert not again.exists()
+
+
+def test_integer_seed_past_double_range_runs_and_replays(spec_file, tmp_path):
+    """SeedSequence takes any integer, so a 400-digit seed is a valid run."""
+    _record(spec_file, tmp_path / "a", "sample", seed=str(HUGE_INT))
+    assert main(["replay", str(tmp_path / "a" / "run.meta.json"),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert sha256(tmp_path / "a" / "samples.csv") == sha256(tmp_path / "b" / "samples.csv")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_in_replayed_config_exit_2(spec_file, tmp_path, capsys, literal):
+    """eps is a key sample never reads; a non-finite value there could be
+    recorded again only as null, so the replay is refused."""
+    meta = _record(spec_file, tmp_path / "recorded", "sample")
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(meta).replace('"eps": 0.1', f'"eps": {literal}'))
+    capsys.readouterr()
+    again = tmp_path / "again"
+    assert main(["replay", str(path), "--out", str(again)]) == 2
+    value = float(literal)
+    assert capsys.readouterr().err == f"error: {path}: eps must be finite, got {value!r}\n"
+    assert not again.exists()
+
+
+@pytest.mark.parametrize("command, data", [("sample", "samples.csv"), ("sweep", "sweep.csv")])
+def test_replaying_a_replay_gives_the_same_bytes(spec_file, tmp_path, command, data):
+    """The record a replay writes replays too, to the same outputs; only the
+    recorded out path differs."""
+    dirs = [tmp_path / name for name in ("first", "second", "third")]
+    _record(spec_file, dirs[0], command)
+    for src, dst in zip(dirs, dirs[1:]):
+        assert main(["replay", str(src / "run.meta.json"), "--out", str(dst)]) == 0
+    for name in sorted(p.name for p in dirs[0].iterdir()):
+        texts = {(d / name).read_text().replace(str(d), "OUT") for d in dirs}
+        assert len(texts) == 1, name
+    assert (dirs[0] / data).exists()
+
+
 class TestKeepFreedHeap:
     @staticmethod
     def _sample_faults(spec_file, out, N, **env):
@@ -673,7 +790,7 @@ class TestVerifyCommand:
         from gmdiff.verify import CheckResult
 
         monkeypatch.setitem(gmdiff.cli.SUITES, "score", lambda *args, **kwargs: [
-            CheckResult("always_fails", 2.0, 1.0, False)])
+            CheckResult("always_fails", 2.0, 1.0)])
         out = tmp_path / "v"
         rc = main(["verify", "score", "--spec", spec_file, "--out", str(out),
                    "--seed", "1"])

@@ -142,9 +142,11 @@ ANCHOR = str(Path(__file__).resolve().parents[1] / "specs" / "standard_mixture_1
 # flag never asks for more than its valid values do; `sweep N --values
 # 1e300` passes the value check but is past numpy's largest array size, so
 # it fails before anything is allocated
-BAD_FLAGS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "0.5", "2.5")
+# 10^400 is the exception: int() takes it, and RunConfig refuses it, past
+# the double range, before any work (a float flag reads it as inf)
+BAD_FLAGS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "0.5", "2.5", str(10 ** 400))
 BAD_JSON = [math.nan, math.inf, -math.inf, 0, -1, 1e-300, 1e300, 0.5, None, "x", [], {},
-            True, [1.0]]
+            True, [1.0], 10 ** 400]
 
 
 @st.composite

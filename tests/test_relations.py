@@ -16,6 +16,10 @@ form, so no reference implementation and no sampling error enters.
   Q x has the log_density of the spec at x, the score Q s(x) and the
   Jacobian Q H(x) Q^T; spectral_summary, second_moment and both
   kl_to_standard_upper bounds are unchanged. At d = 1 and at d >= 2.
+- The region under rotation and reordering: calibrate_region on the
+  rotated (or reordered) marginal at the rotated points gives the same R,
+  beta and log gamma, and region_mask the same decisions away from a
+  threshold, as translation does.
 
 Specs have d <= 5, k <= 5, covariance eigenvalues in [0.25, 4] and means
 drawn with a spread of up to 20, so components sit up to about 60 standard
@@ -50,6 +54,7 @@ from gmdiff.samples import SampleBatch
 from gmdiff.suite import lipschitz_suite
 
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 # the multiple of the propagated rounding that a relation may miss by
 TOL = 32.0
 N_POINTS = 16
@@ -200,6 +205,75 @@ def test_translation_moves_the_calibrated_region(idx, t, c):
     assert 0 < mask.sum() < len(mask)
 
 
+def _same_region(spec_t, other_t, mapped, scales, seed):
+    """calibrate_region on other_t at the mapped calibration points agrees
+    with spec_t at the points to rounding, and region_mask agrees on every
+    probe point not within rounding of a threshold. scales(x) gives the
+    distances to spec_t's means (n, k), their rounding (n, k) and that of
+    the log density (n,)."""
+    rng = np.random.default_rng(seed)
+    calib, probe = sample_array(spec_t, 1000, rng), sample_array(spec_t, 1000, rng)
+    params = calibrate_region(spec_t, SampleBatch(points=calib, meta={}))
+    moved = calibrate_region(other_t, SampleBatch(points=mapped(calib), meta={}))
+    _, dist_scale, log_scale = scales(calib)
+    for ref, got, scale in ((params.R, moved.R, dist_scale.max()),
+                            (params.beta, moved.beta, dist_scale.max()),
+                            (params.log_gamma, moved.log_gamma, log_scale.max())):
+        assert abs(got - ref) <= TOL * scale, (ref, got)
+    dists, d_scale, l_scale = scales(probe)
+    d_tol, l_tol = TOL * (d_scale + dist_scale.max()), TOL * (l_scale + log_scale.max())
+    near = ((np.abs(dists - params.R) <= d_tol)
+            | (np.abs(dists - params.beta) <= d_tol)).any(axis=1)
+    near |= np.abs(log_density(spec_t, probe) - params.log_gamma) <= l_tol
+    assert near.mean() < 0.01
+    mask = region_mask(spec_t, probe, params)
+    np.testing.assert_array_equal(region_mask(other_t, mapped(probe), moved)[~near], mask[~near])
+    assert 0 < mask.sum() < len(mask)
+
+
+def _distance_scales(spec_t, x, shift, prec=0.0):
+    """Distances |x - mu_i| (n, k), their rounding when each difference is
+    off by shift (n, k), and the log density's, as in _rounding_scales."""
+    dists = np.linalg.norm(x[:, None, :] - spec_t.means, axis=2)
+    return dists, shift + EPS * spec_t.dim * dists, _rounding_scales(spec_t, x, shift, prec)[0]
+
+
+@pytest.mark.parametrize("idx", range(6))
+def test_rotation_rotates_the_calibrated_region(idx):
+    spec = SUITE[idx]
+    d = spec.dim
+    # the Q of a 2 x 2 QR is a reflection, which is symmetric; a product of
+    # two is a rotation, which is not
+    rng = np.random.default_rng(idx)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0] @ np.linalg.qr(rng.standard_normal((d, d)))[0]
+    rotated = validate_spec([(w, q @ m, q @ cov @ q.T)
+                             for w, m, cov in zip(spec.weights, spec.means, spec.covs)])
+    # the rotated marginal's precisions are off by d eps cond relative, as
+    # in test_rotation_rotates_score_and_jacobian_and_keeps_the_bounds
+    prec = EPS * d * (spec.eigvals[:, -1] / spec.eigvals[:, 0])
+    for t in (0.0, 0.5, 2.0):
+        spec_t = marginal_at(spec, t)
+
+        def scales(x):
+            shift = EPS * d * (np.linalg.norm(x, axis=1, keepdims=True)
+                               + np.linalg.norm(spec_t.means, axis=1))
+            return _distance_scales(spec_t, x, shift, prec)
+
+        _same_region(spec_t, marginal_at(rotated, t), lambda x: x @ q.T, scales, idx)
+
+
+@pytest.mark.parametrize("idx", range(6))
+def test_reordering_components_keeps_the_calibrated_region(idx):
+    spec = SUITE[idx]
+    order = np.random.default_rng(idx).permutation(spec.k)
+    reordered = _rebuilt(spec, [(spec.weights[i], i) for i in order])
+    for t in (0.0, 0.5, 2.0):
+        spec_t = marginal_at(spec, t)
+        # each distance is the same arithmetic; only the log-sum-exp order moves
+        _same_region(spec_t, marginal_at(reordered, t), lambda x: x,
+                     lambda x: _distance_scales(spec_t, x, np.zeros((len(x), 1))), idx)
+
+
 @given(specs(k=1))
 @settings(max_examples=150, deadline=None)
 def test_one_component_jacobian_is_minus_the_precision(spec):
@@ -282,8 +356,9 @@ def test_rotation_rotates_score_and_jacobian_and_keeps_the_bounds(dims, data):
     # them relative, each |mu|^2 by d eps of itself, each trace by d of them
     log_dets = d * (d * cond + 1.0 + np.abs(np.log(spec.eigvals)).max(axis=1))
     ref, got = spectral_summary(spec), spectral_summary(rotated)
+    # a subnormal |mu|^2 rounds in absolute steps of eps tiny, hence max(., tiny)
     for name, scale in (("sigma_min", d * lam_max.max()), ("sigma_max", d * lam_max.max()),
-                        ("log_det_min", log_dets.max()), ("mu_max", d * ref.mu_max)):
+                        ("log_det_min", log_dets.max()), ("mu_max", d * max(ref.mu_max, TINY))):
         assert abs(getattr(got, name) - getattr(ref, name)) <= TOL * EPS * scale, name
     per = d * (mu_norm ** 2 + d * lam_max)
     assert abs(second_moment(rotated).M2 - second_moment(spec).M2) <= TOL * EPS * (
@@ -293,3 +368,16 @@ def test_rotation_rotates_score_and_jacobian_and_keeps_the_bounds(dims, data):
     assert abs(kl_got.bound - kl_ref.bound) <= TOL * EPS * bound_scale
     convexity_scale = spec.weights @ (0.5 * (per + log_dets + d))
     assert abs(kl_got.convexity_bound - kl_ref.convexity_bound) <= TOL * EPS * convexity_scale
+
+
+def test_rotation_keeps_a_subnormal_mu_max_to_an_absolute_rounding():
+    """At mean_scale 1e-159, |mu|^2 is subnormal (about 4e-319): below tiny
+    a rounding is absolute, up to eps tiny = 2^-1074, and the relative
+    scale d eps mu_max underflows to 0. So the mu_max scale is floored at
+    tiny; rotating this spec moves mu_max by one subnormal step."""
+    spec = random_spec(2, 1, np.random.default_rng(0), mean_scale=1e-159)
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+    rotated = validate_spec([(spec.weights[0], q @ spec.means[0], q @ spec.covs[0] @ q.T)])
+    ref, got = spectral_summary(spec).mu_max, spectral_summary(rotated).mu_max
+    assert 0.0 < ref < TINY and TOL * EPS * 2 * ref == 0.0
+    assert abs(got - ref) <= TOL * EPS * 2 * max(ref, TINY)

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from gmdiff.cli import RunConfig
 from gmdiff.suite import standard_mixture_1d, standard_normal_spec
+from gmdiff.verify import CheckResult
 from gmdiff.verify import lipschitz_suite_checks, mixture_suite, score_suite, solver_suite
 
 from conftest import make_random_spec
@@ -37,3 +40,13 @@ def test_solver_suite_passes():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="suite must be one of"):
         RunConfig(command="verify", spec="spec.json", out="out", seed=1, suite="nonsense")
+
+
+@pytest.mark.parametrize("measured, threshold, passed", [
+    (1.0, 1.0, True), (2.0, 1.0, False), (1e300, math.inf, True),
+    (math.nan, 1.0, False), (math.nan, math.inf, False), (1.0, math.nan, False),
+])
+def test_a_check_passes_iff_measured_is_at_most_threshold(measured, threshold, passed):
+    check = CheckResult("c", measured, threshold)
+    assert check.passed is passed
+    assert check.to_dict()["passed"] is passed
