@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import dropwhile, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyBatch, NonFiniteParameter
+
+CSV_BLOCK_CELLS = 4096  # cells of samples.csv written or read at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,32 +48,50 @@ class SampleBatch:
         """Write points as CSV (header x0..x{d-1}) plus a JSON metadata sidecar.
 
         Floats are written with repr (shortest round-trip), so identical
-        arrays always serialize to identical bytes.
+        arrays always serialize to identical bytes. Blocks of CSV_BLOCK_CELLS
+        cells keep the memory beyond the points constant.
         """
         path = Path(path)
         d = self.dim
-        header = ",".join(f"x{j}" for j in range(d))
-        # one map over all cells; zipping d references to the same iterator
-        # groups them into rows without a Python loop per row
-        cells = map(repr, self.points.ravel().tolist())
-        rows = map(",".join, zip(*[cells] * d))
-        path.write_text("\n".join([header, *rows]) + "\n")
+        step = max(1, CSV_BLOCK_CELLS // d)
+        with path.open("w") as f:
+            f.write(",".join(f"x{j}" for j in range(d)) + "\n")
+            for start in range(0, self.n, step):
+                # one map over a block's cells; zipping d references to the same
+                # iterator groups them into rows without a Python loop per row
+                cells = map(repr, self.points[start:start + step].ravel().tolist())
+                f.write("\n".join(map(",".join, zip(*[cells] * d))) + "\n")
         from .fileio import save_json  # not at the top: fileio imports this module
         save_json(self.meta, path.with_suffix(".meta.json"), sort_keys=True)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SampleBatch":
-        """Read a CSV written by to_csv. Raises EmptyBatch when it holds no
-        rows, ValueError when its rows differ in length and
-        NonFiniteParameter when a cell is NaN or infinite."""
+        """Read a CSV written by to_csv, CSV_BLOCK_CELLS cells at a time.
+        Blank lines before the header and after the last row are ignored.
+        Raises EmptyBatch when it holds no rows, ValueError on a blank line
+        between rows, rows that differ in length or a cell that is no float,
+        and NonFiniteParameter when a cell is NaN or infinite."""
         path = Path(path)
-        rows = path.read_text().strip().splitlines()[1:]
-        if not rows:
+        blocks, d, header, blank_tail = [], None, False, False
+        with path.open() as f:
+            # whole lines split as the whole text would; one line until a row gives d
+            while rows := "".join(islice(f, max(1, CSV_BLOCK_CELLS // d) if d else 1)).splitlines():
+                if not header:
+                    rows = list(dropwhile(lambda row: not row.strip(), rows))
+                    header, rows = bool(rows), rows[1:]
+                if blank_tail and any(map(str.strip, rows)):
+                    raise ValueError(f"{path}: blank line between sample rows")
+                while rows and not rows[-1].strip():
+                    rows.pop()
+                    blank_tail = True
+                if rows:
+                    d = d or rows[0].count(",") + 1
+                    if set(map(str.count, rows, repeat(","))) != {d - 1}:
+                        raise ValueError(f"{path}: rows differ in their number of fields")
+                    cells = ",".join(rows).split(",")
+                    blocks.append(np.fromiter(map(float, cells), float, len(cells)).reshape(-1, d))
+        if not blocks:
             raise EmptyBatch(f"{path} holds no sample rows")
-        if len(set(map(str.count, rows, repeat(",")))) != 1:
-            raise ValueError(f"{path}: rows differ in their number of fields")
-        cells = ",".join(rows).split(",")
-        pts = np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), -1)
         meta_path = path.with_suffix(".meta.json")
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-        return cls(points=pts, meta=meta)
+        return cls(points=np.concatenate(blocks), meta=meta)

@@ -13,7 +13,7 @@ from gmdiff.fileio import (
     save_sweep_csv,
 )
 from gmdiff.metrics import SweepResult, SweepRow
-from gmdiff.samples import SampleBatch
+from gmdiff.samples import CSV_BLOCK_CELLS, SampleBatch
 
 
 def test_spec_round_trip(tmp_path, anchor):
@@ -53,14 +53,46 @@ def test_sample_batch_csv_header(tmp_path):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sample_batch_csv_bytes_match_per_row_repr(tmp_path, d):
     values = np.array([-0.0, 5e-324, 1e-5, 1e16, 2.0, -3.25])
-    pts = np.resize(values, (7, d))
+    # 7 rows, and at every d past three full blocks plus a partial one
+    for n in (7, 3 * CSV_BLOCK_CELLS + 7):
+        pts = np.resize(values, (n, d))
+        csv = tmp_path / "pts.csv"
+        SampleBatch(points=pts, meta={}).to_csv(csv)
+        lines = [",".join(f"x{j}" for j in range(d))]
+        lines += [",".join(repr(float(v)) for v in row) for row in pts]
+        assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+        loaded = SampleBatch.from_csv(csv).points
+        assert loaded.shape == (n, d) and loaded.tobytes() == pts.tobytes()
+
+
+@pytest.mark.parametrize("text", ["x0\n1.0\n\n2.0\n", "x0,x1\n1.0,2.0\n\n3.0,4.0\n",
+                                  "x0\n1.0\n \t\n2.0\n", "x0\n\n1.0\n"])
+def test_sample_batch_csv_rejects_interior_blank_line(tmp_path, text):
     csv = tmp_path / "pts.csv"
-    SampleBatch(points=pts, meta={}).to_csv(csv)
-    lines = [",".join(f"x{j}" for j in range(d))]
-    lines += [",".join(repr(float(v)) for v in row) for row in pts]
-    assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
-    loaded = SampleBatch.from_csv(csv).points
-    assert loaded.shape == (7, d) and loaded.tobytes() == pts.tobytes()
+    csv.write_text(text)
+    with pytest.raises(ValueError):
+        SampleBatch.from_csv(csv)
+
+
+@pytest.mark.parametrize("text", ["x0,x1\n1.0,2.0\n3.0,4.0\n\n \n\n",
+                                  "\n  \n\nx0,x1\n1.0,2.0\n3.0,4.0",
+                                  "\n\t\nx0,x1\r\n1.0,2.0\r\n3.0,4.0\r\n\r\n"])
+def test_sample_batch_csv_ignores_outer_blank_lines(tmp_path, text):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(text)
+    assert SampleBatch.from_csv(csv).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+# at d = 1 a block holds CSV_BLOCK_CELLS rows
+@pytest.mark.parametrize("before", [1, CSV_BLOCK_CELLS, CSV_BLOCK_CELLS + 1])
+def test_sample_batch_csv_blank_line_at_block_boundary(tmp_path, before):
+    rows = [repr(float(i)) for i in range(2 * CSV_BLOCK_CELLS + 3)]
+    csv = tmp_path / "pts.csv"
+    csv.write_text("\n".join(["x0", *rows[:before], "", *rows[before:]]) + "\n")
+    with pytest.raises(ValueError):
+        SampleBatch.from_csv(csv)
+    csv.write_text("\n".join(["x0", *rows[:before], "", "", ""]) + "\n")
+    assert SampleBatch.from_csv(csv).points.ravel().tolist() == list(range(before))
 
 
 @pytest.mark.parametrize("body", ["1.0,2.0\n3.0\n", "1.0\n2.0,3.0\n",

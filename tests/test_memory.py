@@ -1,7 +1,7 @@
-"""Working-set bounds: the pointwise mixture functions and the histogram
-reference quadrature evaluate fixed-size blocks, so the memory they take
-beyond their output grows neither with the number of points nor, for the
-mixture functions, with the dimension.
+"""Working-set bounds: the pointwise mixture functions, the histogram
+reference quadrature and the sample CSV writer and reader work in fixed-size
+blocks, so the memory they take beyond their output grows neither with the
+number of points nor, for the mixture functions, with the dimension.
 
 Peaks are the tracemalloc high-water mark of allocations made during the
 call (numpy reports its array buffers to tracemalloc); the input points are
@@ -16,6 +16,7 @@ import pytest
 from gmdiff import lipschitz_suite, random_spec
 from gmdiff.metrics import default_histogram_grid, reference_cell_masses
 from gmdiff.mixture import density, score, score_jacobian
+from gmdiff.samples import SampleBatch
 
 MB = 1 << 20
 
@@ -63,3 +64,23 @@ def test_reference_cell_masses_peak_on_default_grid(spec_d2_k5):
     (masses, _), peak = traced_peak(reference_cell_masses, spec_d2_k5, grid)
     assert masses.shape == (200, 200)
     assert peak < 16 * MB, f"peak {peak / MB:.1f} MB"
+
+
+@pytest.fixture
+def batch_200000x2():
+    return SampleBatch(points=np.random.default_rng(3).normal(size=(200000, 2)), meta={"seed": 3})
+
+
+def test_sample_csv_write_peak(tmp_path, batch_200000x2):
+    _, peak = traced_peak(batch_200000x2.to_csv, tmp_path / "samples.csv")
+    assert peak < 2 * MB, f"peak {peak / MB:.1f} MB"
+
+
+def test_sample_csv_read_peak(tmp_path, batch_200000x2):
+    csv = tmp_path / "samples.csv"
+    batch_200000x2.to_csv(csv)
+    loaded, peak = traced_peak(SampleBatch.from_csv, csv)
+    pts = batch_200000x2.points
+    assert loaded.points.tobytes() == pts.tobytes()
+    # joining the blocks holds the points twice
+    assert peak < 2 * pts.nbytes + 2 * MB, f"peak {peak / MB:.1f} MB"
