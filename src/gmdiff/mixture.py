@@ -410,8 +410,6 @@ def sample_array(spec: GmmSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     cdf /= cdf[-1]
     u = rng.random(n)
     xi = rng.standard_normal((n, spec.dim))
-    if spec.k == 1:
-        return spec.means[0] + xi @ spec.chols[0].T
     # the radix sort on the narrowest label dtype: uint8 sorts 20000
     # labels in a tenth of the int64 time
     labels = np.zeros(n, np.min_scalar_type(spec.k - 1))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import dropwhile, islice, repeat
+from itertools import chain, dropwhile, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,8 @@ CSV_BLOCK_CELLS = 4096  # cells of samples.csv written or read at a time
 class SampleBatch:
     """n points in R^d plus the seed / solver / grid that produced them.
 
-    ``meta`` always records at least: seed, solver, grid, T, delta, n.
-    Every point is finite; this is checked at construction.
+    ``meta`` always records n, and seed, solver, grid, T and delta where its
+    producer (a sampler, a CSV's sidecar) gave them. Every point is finite.
     """
 
     points: np.ndarray
@@ -66,28 +66,30 @@ class SampleBatch:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SampleBatch":
-        """Read a CSV written by to_csv, CSV_BLOCK_CELLS cells at a time.
-        Blank lines before the header and after the last row are ignored.
-        Raises EmptyBatch when it holds no rows, ValueError on a blank line
-        between rows, rows that differ in length or a cell that is no float,
-        and NonFiniteParameter when a cell is NaN or infinite."""
+        """Read a CSV written by to_csv, CSV_BLOCK_CELLS cells at a time; the
+        first non-blank line is the header, and its field count is d. Blank
+        lines before it and after the last row are ignored. Raises EmptyBatch
+        when it holds no rows, ValueError on a blank line between rows, a row
+        not of d fields or a cell that is no float, and NonFiniteParameter
+        when a cell is NaN or infinite."""
         path = Path(path)
-        blocks, d, header, blank_tail = [], None, False, False
+        blocks, rows, blank_tail = [], [], False
         with path.open() as f:
-            # whole lines split as the whole text would; one line until a row gives d
-            while rows := "".join(islice(f, max(1, CSV_BLOCK_CELLS // d) if d else 1)).splitlines():
-                if not header:
-                    rows = list(dropwhile(lambda row: not row.strip(), rows))
-                    header, rows = bool(rows), rows[1:]
+            # lines split as the whole text would: a file line can hold several
+            while not rows and (line := f.readline()):
+                rows = list(dropwhile(lambda row: not row.strip(), line.splitlines()))
+            header, *rows = rows or [""]
+            d = header.count(",") + 1
+            step = max(1, CSV_BLOCK_CELLS // d)
+            for rows in chain([rows], iter(lambda: "".join(islice(f, step)).splitlines(), [])):
                 if blank_tail and any(map(str.strip, rows)):
                     raise ValueError(f"{path}: blank line between sample rows")
                 while rows and not rows[-1].strip():
                     rows.pop()
                     blank_tail = True
                 if rows:
-                    d = d or rows[0].count(",") + 1
                     if set(map(str.count, rows, repeat(","))) != {d - 1}:
-                        raise ValueError(f"{path}: rows differ in their number of fields")
+                        raise ValueError(f"{path}: a row's field count differs from the header's")
                     cells = ",".join(rows).split(",")
                     blocks.append(np.fromiter(map(float, cells), float, len(cells)).reshape(-1, d))
         if not blocks:

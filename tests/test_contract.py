@@ -18,8 +18,9 @@ no run.meta.json behind.
 
 The counts of chains, steps, corrector steps and bins are capped, so an
 accepted draw costs milliseconds, and --threads stays within {-3, 0, 1, 2}.
-Everything runs in-process through cli.main; the example counts keep the
-file to a few seconds.
+Everything runs in-process, through cli.main except one direct call of
+bound_report and moment_diagnostics on a spec whose weight sits at the
+validator's tolerance; the example counts keep the file to a few seconds.
 """
 
 import json
@@ -28,13 +29,17 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gmdiff.bounds
 import gmdiff.mixture
 import gmdiff.solvers
+from gmdiff.bounds import bound_report
 from gmdiff.cli import main
+from gmdiff.metrics import moment_diagnostics
+from gmdiff.mixture import sample, validate_spec
 
 numbers = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -62,11 +67,14 @@ huge = st.one_of(st.sampled_from([1.3e154, 1e200, 1e300, 1e308, 1.79769313486231
 def fields(draw, d, k):
     """(weight, mean, cov) of one of k components; each field is valid, or
     with probability 1/4 a wrong type, a non-finite number or a wrong shape.
-    A valid mean coordinate or covariance scale is huge with probability 1/8."""
+    A valid weight is (1 + e) / k with |e| <= 0.9e-10, so the k weights sum
+    to within validate_spec's 1e-10 of 1 but rarely to exactly 1. A valid
+    mean coordinate or covariance scale is huge with probability 1/8."""
     scale = draw(huge) if _one_in(draw, 8) else draw(st.floats(0.1, 4.0))
     mean = [draw(huge) * draw(st.sampled_from([1.0, -1.0])) if _one_in(draw, 8) else v
             for v in draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d))]
-    valid = (1.0 / k, mean, [[scale if i == j else 0.0 for j in range(d)] for i in range(d)])
+    weight = (1.0 + draw(st.floats(-0.9e-10, 0.9e-10))) / k
+    valid = (weight, mean, [[scale if i == j else 0.0 for j in range(d)] for i in range(d)])
     wrong_shape = st.lists(st.lists(numbers, min_size=d + 1, max_size=d + 1),
                            min_size=1, max_size=d + 1)
     bad = st.one_of(numbers, anything, wrong_shape,
@@ -114,7 +122,14 @@ def _runtime_warnings(caught, *modules) -> list[str]:
             if issubclass(w.category, RuntimeWarning) and Path(w.filename) in files]
 
 
+# one component whose weight is 1 + 9e-11: M2 = 10 * (1 + 9e-11) exceeds the
+# component's own second moment, 10
+EDGE_WEIGHT_SPEC = {"dim": 1, "components": [{"weight": 1 + 9e-11, "mean": [3.0],
+                                              "cov": [[1.0]]}]}
+
+
 @given(spec_json())
+@example(EDGE_WEIGHT_SPEC)
 @settings(max_examples=150, deadline=None)
 def test_bounds_on_any_spec_exits_0_or_2(raw):
     with tempfile.TemporaryDirectory() as tmp:
@@ -135,6 +150,14 @@ def test_bounds_on_any_spec_exits_0_or_2(raw):
             report = json.loads((out / "bounds.json").read_text())[0]
             assert None not in (report["M2"], report["m2"], report["mu_max"],
                                 report["kl_upper"], report["R"]), report
+
+
+def test_weights_at_the_tolerance_give_finite_reports():
+    spec = validate_spec(EDGE_WEIGHT_SPEC)
+    report = bound_report(spec, 0.0, calibration_samples=2000, seed=1).to_dict()
+    assert all(map(math.isfinite, report.values())), report
+    diag = moment_diagnostics(sample(spec, 2000, seed=1), spec)
+    assert all(np.all(np.isfinite(v)) for v in vars(diag).values()), diag
 
 
 ANCHOR = str(Path(__file__).resolve().parents[1] / "specs" / "standard_mixture_1d.json")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ def test_spec_round_trip(tmp_path, anchor):
     np.testing.assert_array_equal(loaded.weights, anchor.weights)
     np.testing.assert_array_equal(loaded.means, anchor.means)
     np.testing.assert_array_equal(loaded.covs, anchor.covs)
+
+
+def test_anchor_spec_file_is_the_anchor(anchor):
+    # the benchmark and the command-line examples read the file, the tests
+    # build the spec with standard_mixture_1d(): they are the same bits
+    loaded = load_spec(Path(__file__).resolve().parents[1] / "specs" / "standard_mixture_1d.json")
+    for field in ("weights", "means", "covs"):
+        got, want = getattr(loaded, field), getattr(anchor, field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
 
 
 def test_spec_file_format_fields(tmp_path, anchor):
@@ -102,6 +112,33 @@ def test_sample_batch_csv_rejects_ragged_rows(tmp_path, body):
     csv.write_text("x0,x1\n" + body)
     with pytest.raises(ValueError):
         SampleBatch.from_csv(csv)
+
+
+@pytest.mark.parametrize("text", ["x0\n1.0,2.0\n", "x0,x1,x2\n1.0\n", "x0,x1\n1.0\n2.0\n"])
+def test_sample_batch_csv_width_is_the_header_width(tmp_path, text):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(text)
+    with pytest.raises(ValueError):
+        SampleBatch.from_csv(csv)
+
+
+# at d = 1 a block holds CSV_BLOCK_CELLS rows: a wide row last in the first
+# block, first in the second and second in the second
+@pytest.mark.parametrize("before", [CSV_BLOCK_CELLS - 1, CSV_BLOCK_CELLS, CSV_BLOCK_CELLS + 1])
+def test_sample_batch_csv_rejects_wide_row_at_block_boundary(tmp_path, before):
+    rows = [repr(float(i)) for i in range(before)]
+    csv = tmp_path / "pts.csv"
+    csv.write_text("\n".join(["x0", *rows, "1.0,2.0", "3.0"]) + "\n")
+    with pytest.raises(ValueError):
+        SampleBatch.from_csv(csv)
+
+
+@pytest.mark.parametrize("text", ["\n \n\x0cx0\x0c1.0\n2.0\n", "\n\nx0\x0c1.0\x0c2.0",
+                                  "\r\n\x0c\r\nx0\x0c1.0\r\n2.0\r\n"])
+def test_sample_batch_csv_header_shares_its_line_with_a_row(tmp_path, text):
+    csv = tmp_path / "pts.csv"
+    csv.write_bytes(text.encode())
+    assert SampleBatch.from_csv(csv).points.tolist() == [[1.0], [2.0]]
 
 
 @pytest.mark.parametrize("text", ["", "x0,x1\n"])
