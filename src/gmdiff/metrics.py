@@ -299,8 +299,9 @@ def moment_diagnostics(samples, reference: GmmSpec) -> MomentDiagnostics:
     mean_se = pts.std(axis=0, ddof=1) / math.sqrt(n)
     mean_z = (emp_mean - ref_mean) / mean_se
     ref_centered = pts - ref_mean
-    prod = ref_centered[:, :, None] * ref_centered[:, None, :]
-    cov_se = prod.std(axis=0, ddof=1) / math.sqrt(n)
+    # one row of products at a time: (n, d) temporaries, never (n, d, d)
+    cov_se = np.stack([(ref_centered[:, a:a + 1] * ref_centered).std(axis=0, ddof=1)
+                       for a in range(pts.shape[1])]) / math.sqrt(n)
     cov_z = (emp_cov - ref_cov) / cov_se
     m2_se = sq.std(ddof=1) / math.sqrt(n)
     m2_z = (emp_m2 - ref_m2) / m2_se
@@ -342,9 +343,11 @@ def jacobian_spectral_probe(spec_t: GmmSpec, points, params: ConditionParams,
     passing = pts[mask]
     if passing.shape[0] == 0:
         raise NoPointsInRegion("no probe points satisfy the region clauses")
-    hess = score_jacobian(spec_t, passing)
-    norms = spectral_norms(hess)
-    return SpectralProbeResult(max_norm=float(norms.max()), n_passing=int(passing.shape[0]))
+    # blocks of at most 2^20 Jacobian entries: one block at d <= 2
+    step = max(1, 2**20 // spec_t.dim**2)
+    norms = [spectral_norms(score_jacobian(spec_t, passing[i:i + step])).max()
+             for i in range(0, passing.shape[0], step)]
+    return SpectralProbeResult(max_norm=float(np.max(norms)), n_passing=int(passing.shape[0]))
 
 
 class SweepRow(NamedTuple):

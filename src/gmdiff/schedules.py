@@ -30,13 +30,11 @@ class TimeGrid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or len(pts) < 2:
             raise InvalidHorizon("grid needs at least two points")
-        if abs(pts[0] - self.delta) > 1e-12 or abs(pts[-1] - self.T) > 1e-12:
+        # written so that a NaN fails: the steps then telescope to T - delta
+        if not (abs(pts[0] - self.delta) <= 1e-12 and abs(pts[-1] - self.T) <= 1e-12):
             raise InvalidHorizon("grid must start at delta and end at T")
-        h = np.diff(pts)
-        if np.any(h <= 0.0):
+        if not np.all(np.diff(pts) > 0.0):
             raise InvalidHorizon("grid points must be strictly increasing")
-        if abs(h.sum() - (self.T - self.delta)) > 1e-10:
-            raise InvalidHorizon("step sizes must sum to T - delta")
 
     @property
     def steps(self) -> np.ndarray:
@@ -113,11 +111,8 @@ def exp_decay_grid(T: float, N: int, L: float, d: int, K: float = 1.0,
     while True:
         h = c * min(max(t, 1.0 / L), 1.0)
         remaining = T - t
-        if remaining <= h:
-            pts.append(T)
-            break
         if remaining <= h + min_h:
-            # a full step would strand a sub-minimum tail
+            # every grid ends here; a full step would strand a sub-minimum tail
             if remaining <= c:
                 pts.append(T)
             else:

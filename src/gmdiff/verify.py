@@ -67,11 +67,11 @@ def _rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     return float(np.linalg.norm(approx - exact)) / scale
 
 
-def score_suite(spec: GmmSpec, n_points: int = 40, seed: int = 7) -> list[CheckResult]:
+def score_suite(spec: GmmSpec, seed: int = 7) -> list[CheckResult]:
     """Finite-difference gradient/Hessian checks plus responsibility sums at
-    points drawn from the spec itself."""
+    40 points drawn from the spec itself."""
     rng = np.random.default_rng(seed)
-    pts = sample_array(spec, n_points, rng)
+    pts = sample_array(spec, 40, rng)
     worst_score = 0.0
     worst_jac = 0.0
     worst_resp = 0.0
@@ -89,18 +89,29 @@ def score_suite(spec: GmmSpec, n_points: int = 40, seed: int = 7) -> list[CheckR
     ]
 
 
-def lipschitz_suite_checks(spec: GmmSpec, times=(0.0, 0.5, 2.0),
-                           n_points: int = 10000, seed: int = 11) -> list[CheckResult]:
-    """At each time: take L and the region calibrated from n_points samples
-    from bound_report, probe the score Jacobian over region-passing samples,
-    and require max spectral norm <= L."""
+def lipschitz_suite_checks(spec: GmmSpec, n_points: int = 10000,
+                           seed: int = 11) -> list[CheckResult]:
+    """At each t in {0, 0.5, 2}: take L and the region calibrated from
+    n_points samples from bound_report, probe the score Jacobian over
+    region-passing samples, and require max spectral norm <= L."""
     results = []
-    for t in times:
+    for t in (0.0, 0.5, 2.0):
         report = bound_report(spec, t, calibration_samples=n_points, seed=seed)
         spec_t = marginal_at(spec, t)
         probe = jacobian_spectral_probe(spec_t, sample(spec_t, n_points, seed + 1),
                                         report.params)
         results.append(CheckResult(f"jacobian_norm_below_L_at_t={t}", probe.max_norm, report.L))
+    return results
+
+
+def _law_checks(points, target: GmmSpec, names: tuple[str, str], z_max: float,
+                tv_max: float) -> list[CheckResult]:
+    """Moment z-scores of the points against the target within z_max, and
+    (d = 1) their 100-bin histogram TV within tv_max."""
+    results = [CheckResult(names[0], moment_diagnostics(points, target).max_abs_z, z_max)]
+    if target.dim == 1:
+        tv = tv_histogram(points, target, default_histogram_grid(target, bins=100))
+        results.append(CheckResult(names[1], tv, tv_max))
     return results
 
 
@@ -111,33 +122,18 @@ def mixture_suite(spec: GmmSpec, t: float = 1.5, n: int = 100000,
     coeff = ou_coefficients(t)
     rng = np.random.default_rng(seed)
     x0 = sample_array(spec, n, rng)
-    z = rng.standard_normal(x0.shape)
-    pushed = coeff.a * x0 + coeff.b * z
-    target = marginal_at(spec, t)
-    diag = moment_diagnostics(pushed, target)
-    results = [CheckResult(f"forward_mc_moments_at_t={t}", diag.max_abs_z, 4.0)]
-    if spec.dim == 1:
-        grid = default_histogram_grid(target, bins=100)
-        tv = tv_histogram(pushed, target, grid)
-        results.append(CheckResult(f"forward_mc_tv_at_t={t}", tv, 0.02))
-    return results
+    pushed = coeff.a * x0 + coeff.b * rng.standard_normal(x0.shape)
+    return _law_checks(pushed, marginal_at(spec, t),
+                       (f"forward_mc_moments_at_t={t}", f"forward_mc_tv_at_t={t}"), 4.0, 0.02)
 
 
-def solver_suite(spec: GmmSpec, T: float = 6.0, N: int = 512, n: int = 20000,
+def solver_suite(spec: GmmSpec, N: int = 512, n: int = 20000,
                  seed: int = 17) -> list[CheckResult]:
-    """Run the exponential-integrator sampler with the exact score and check
-    the output against the target moments (and 1D histogram TV)."""
-    model = make_score_model(spec)
-    grid = uniform_grid(T, N)
-    batch = run_sampler(model, grid, "ei", n, seed)
-    diag = moment_diagnostics(batch, spec)
+    """Run the exponential-integrator sampler to T = 6 with the exact score
+    and check the output against the target moments (and 1D histogram TV)."""
+    batch = run_sampler(make_score_model(spec), uniform_grid(6.0, N), "ei", n, seed)
     # discretization bias plus Monte Carlo noise; looser than the pure MC gate
-    results = [CheckResult("solver_moments", diag.max_abs_z, 6.0)]
-    if spec.dim == 1:
-        grid_h = default_histogram_grid(spec, bins=100)
-        tv = tv_histogram(batch, spec, grid_h)
-        results.append(CheckResult("solver_tv", tv, 0.05))
-    return results
+    return _law_checks(batch, spec, ("solver_moments", "solver_tv"), 6.0, 0.05)
 
 
 SUITES = {

@@ -392,6 +392,15 @@ class TestCalibrateRegion:
             with pytest.raises(NonFiniteParameter, match="overflows the double range"):
                 calibrate_region(spec, sample(spec, 1000, seed=1))
 
+    @pytest.mark.parametrize("on_mean", [11, 1000])
+    def test_beta_floor_when_a_percent_of_points_sit_on_a_mean(self, on_mean):
+        # past 1% of the points at distance 0, the 1st percentile is 0
+        spec = lipschitz_suite()[5]
+        pts = sample(spec, 1000, seed=2).points
+        pts[:on_mean] = spec.means[1]
+        params = calibrate_region(spec, SampleBatch(points=pts, meta={}))
+        assert params.beta == 1e-6
+
     def test_too_few_samples(self, std1d):
         with pytest.raises(TooFewSamples):
             calibrate_region(std1d, sample(std1d, 999, seed=1))

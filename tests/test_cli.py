@@ -179,6 +179,19 @@ class TestBoundsCommand:
         assert where in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw, where", [
+        ([[1.5, [0.0], [[1.0]]], [-0.5, [1.0], [[1.0]]]], "each weight must lie in (0,1]"),
+        ([[1.0, [0.0, 0.0], [[1.0]]]], "component 0: cov has shape (1, 1), expected (2,2)"),
+    ], ids=["negative-weight", "cov-shape"])
+    def test_weight_outside_unit_interval_or_cov_shape_exit_2(self, tmp_path, capsys,
+                                                               raw, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["bounds", "--spec", str(bad), "--out", str(out), "--seed", "1"]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cov", [
         # v v^T for v = (0.7, 0.2): rank 1, but a Cholesky of the float product
         # succeeds, and the report certified L = 1.25e52
@@ -248,6 +261,16 @@ class TestSampleCommand:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "samples.csv").exists()
+
+    def test_seed_drawn_without_flag_is_recorded_and_replays(self, spec_file, tmp_path):
+        out = tmp_path / "run"
+        assert main(["sample", "--spec", spec_file, "--out", str(out),
+                     "--N", "8", "--n", "200"]) == 0
+        seed = json.loads((out / "run.meta.json").read_text())["config"]["seed"]
+        assert isinstance(seed, int) and seed >= 0
+        assert json.loads((out / "samples.meta.json").read_text())["seed"] == seed
+        assert main(["replay", str(out / "run.meta.json"), "--out", str(tmp_path / "again")]) == 0
+        assert sha256(out / "samples.csv") == sha256(tmp_path / "again" / "samples.csv")
 
     def test_writes_csv_and_meta(self, spec_file, tmp_path):
         out = tmp_path / "run"

@@ -93,8 +93,9 @@ def test_sample_batch_csv_ignores_outer_blank_lines(tmp_path, text):
     assert SampleBatch.from_csv(csv).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
-# at d = 1 a block holds CSV_BLOCK_CELLS rows
-@pytest.mark.parametrize("before", [1, CSV_BLOCK_CELLS, CSV_BLOCK_CELLS + 1])
+# at d = 1 a block holds CSV_BLOCK_CELLS rows; after CSV_BLOCK_CELLS - 1 rows
+# the blank line ends the first block and rows follow in the next
+@pytest.mark.parametrize("before", [1, CSV_BLOCK_CELLS - 1, CSV_BLOCK_CELLS, CSV_BLOCK_CELLS + 1])
 def test_sample_batch_csv_blank_line_at_block_boundary(tmp_path, before):
     rows = [repr(float(i)) for i in range(2 * CSV_BLOCK_CELLS + 3)]
     csv = tmp_path / "pts.csv"

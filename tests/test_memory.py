@@ -1,7 +1,9 @@
 """Working-set bounds: the pointwise mixture functions, the histogram
-reference quadrature and the sample CSV writer and reader work in fixed-size
-blocks, so the memory they take beyond their output grows neither with the
-number of points nor, for the mixture functions, with the dimension.
+reference quadrature, the Jacobian spectral probe and the sample CSV writer
+and reader work in fixed-size blocks, so the memory they take beyond their
+output grows neither with the number of points nor, for the mixture
+functions, with the dimension. The moment diagnostics take O(n d), never
+an (n, d, d) array.
 
 Peaks are the tracemalloc high-water mark of allocations made during the
 call (numpy reports its array buffers to tracemalloc); the input points are
@@ -13,9 +15,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gmdiff import lipschitz_suite, random_spec
-from gmdiff.metrics import default_histogram_grid, reference_cell_masses
-from gmdiff.mixture import density, score, score_jacobian
+from gmdiff import calibrate_region, lipschitz_suite, random_spec, standard_normal_spec
+from gmdiff.metrics import (
+    default_histogram_grid,
+    jacobian_spectral_probe,
+    moment_diagnostics,
+    reference_cell_masses,
+)
+from gmdiff.mixture import density, sample_array, score, score_jacobian
 from gmdiff.samples import SampleBatch
 
 MB = 1 << 20
@@ -64,6 +71,28 @@ def test_reference_cell_masses_peak_on_default_grid(spec_d2_k5):
     (masses, _), peak = traced_peak(reference_cell_masses, spec_d2_k5, grid)
     assert masses.shape == (200, 200)
     assert peak < 16 * MB, f"peak {peak / MB:.1f} MB"
+
+
+def test_moment_diagnostics_peak_has_no_n_d_d_product():
+    # the (400, 100, 100) product of the covariance standard errors is 32 MB,
+    # and its std takes a second array of that size
+    pts = np.random.default_rng(3).normal(size=(400, 100))
+    diag, peak = traced_peak(moment_diagnostics, pts, standard_normal_spec(100))
+    assert diag.cov_z.shape == (100, 100)
+    assert peak < 8 * MB, f"peak {peak / MB:.1f} MB"
+
+
+def test_spectral_probe_peak_is_bounded_blocks():
+    # 2**20 Jacobian entries (8 MB) per block, which eigvalsh copies; one
+    # (n, 64, 64) stack of all the passing points is 31 MB, and eigvalsh
+    # copied that too
+    spec = random_spec(64, 3, np.random.default_rng(64))
+    rng = np.random.default_rng(1)
+    params = calibrate_region(spec, SampleBatch(points=sample_array(spec, 1000, rng), meta={}))
+    pts = sample_array(spec, 1000, rng)
+    probe, peak = traced_peak(jacobian_spectral_probe, spec, pts, params)
+    assert probe.n_passing > 900
+    assert peak < 24 * MB, f"peak {peak / MB:.1f} MB"
 
 
 @pytest.fixture

@@ -77,6 +77,16 @@ class TestHistogramGrid:
         with pytest.raises(NonFiniteParameter):
             HistogramGrid(lo=lo, hi=hi, bins=[10] * len(lo))
 
+    @pytest.mark.parametrize("lo, hi, bins, error", [
+        ([0.0, 0.0], [1.0], [10, 10], DimensionMismatch),
+        ([0.0], [1.0], [10, 10], DimensionMismatch),
+        ([0.0], [0.0], [10], ValueError),
+        ([0.0, 1.0], [1.0, 0.5], [10, 10], ValueError),
+    ], ids=["hi-short", "bins-long", "hi-equals-lo", "hi-below-lo"])
+    def test_rejects_mismatched_shapes_and_empty_axes(self, lo, hi, bins, error):
+        with pytest.raises(error):
+            HistogramGrid(lo=lo, hi=hi, bins=bins)
+
     def test_rejects_width_past_double_range(self):
         # hi - lo overflows to inf, so linspace would give NaN edges
         with pytest.raises(ValueError, match="finite width"):

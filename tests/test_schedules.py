@@ -139,3 +139,19 @@ class TestTimeGridReverseView:
             TimeGrid(points=np.array([0.0, 0.5, 0.4, 1.0]), T=1.0, delta=0.0)
         with pytest.raises(InvalidHorizon):
             TimeGrid(points=np.array([0.1, 1.0]), T=1.0, delta=0.0)
+
+
+@pytest.mark.parametrize("points, T, delta", [
+    ([0.0, math.nan, 1.0], 1.0, 0.0),
+    ([math.nan, 0.5, 1.0], 1.0, 0.0),
+    ([0.0, 0.5, math.nan], 1.0, 0.0),
+    ([0.0, 0.5, 1.0], math.nan, 0.0),
+    ([0.0, 0.5, 1.0], 1.0, math.nan),
+    ([0.0, math.inf, 1.0], 1.0, 0.0),
+    ([0.0, 0.5, math.inf], math.inf, 0.0),
+    ([1.0], 1.0, 1.0),
+], ids=["nan-inside", "nan-first", "nan-last", "nan-T", "nan-delta", "inf-inside",
+        "inf-T", "one-point"])
+def test_time_grid_rejects_non_finite_points_and_a_single_point(points, T, delta):
+    with pytest.raises(InvalidHorizon):
+        TimeGrid(points=np.array(points), T=T, delta=delta)

@@ -199,6 +199,11 @@ class TestScoreModel:
         with pytest.raises(NonFiniteParameter, match="epsilon0"):
             make_score_model(anchor, kind, epsilon0)
 
+    @pytest.mark.parametrize("kind", ["nonsense", "Exact", ""])
+    def test_unknown_kind_rejected(self, anchor, kind):
+        with pytest.raises(ValueError, match="kind must be 'exact' or 'perturbed'"):
+            make_score_model(anchor, kind, 0.1)
+
     def test_same_seed_same_field(self, anchor):
         a = make_score_model(anchor, "perturbed", 0.1, seed=9)
         b = make_score_model(anchor, "perturbed", 0.1, seed=9)
