@@ -289,6 +289,7 @@ def moment_diagnostics(samples, reference: GmmSpec) -> MomentDiagnostics:
     emp_mean = pts.mean(axis=0)
     centered = pts - emp_mean
     emp_cov = centered.T @ centered / (n - 1)
+    del centered
     sq = np.sum(pts ** 2, axis=1)
     emp_m2 = float(sq.mean())
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, dropwhile, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -66,22 +66,20 @@ class SampleBatch:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SampleBatch":
-        """Read a CSV written by to_csv, CSV_BLOCK_CELLS cells at a time; the
-        first non-blank line is the header, and its field count is d. Blank
-        lines before it and after the last row are ignored. Raises EmptyBatch
-        when it holds no rows, ValueError on a blank line between rows, a row
-        not of d fields or a cell that is no float, and NonFiniteParameter
-        when a cell is NaN or infinite."""
+        """Read a CSV written by to_csv, CSV_BLOCK_CELLS cells at a time: one row per
+        LF, CR or CRLF line after the header, the first non-blank line, whose field
+        count is d. Blank lines around the rows are ignored. Raises EmptyBatch on no
+        rows, ValueError on another line separator in the header, a blank line between
+        rows, a row not of d fields or a non-float cell; NonFiniteParameter on NaN or inf."""
         path = Path(path)
-        blocks, rows, blank_tail = [], [], False
+        blocks, blank_tail = [], False
         with path.open() as f:
-            # lines split as the whole text would: a file line can hold several
-            while not rows and (line := f.readline()):
-                rows = list(dropwhile(lambda row: not row.strip(), line.splitlines()))
-            header, *rows = rows or [""]
+            header = next((line for line in f if line.strip()), "")
+            if len(header.splitlines()) > 1:
+                raise ValueError(f"{path}: header holds a line separator other than LF, CR or CRLF")
             d = header.count(",") + 1
             step = max(1, CSV_BLOCK_CELLS // d)
-            for rows in chain([rows], iter(lambda: "".join(islice(f, step)).splitlines(), [])):
+            for rows in iter(lambda: list(islice(f, step)), []):
                 if blank_tail and any(map(str.strip, rows)):
                     raise ValueError(f"{path}: blank line between sample rows")
                 while rows and not rows[-1].strip():

@@ -30,8 +30,9 @@ class TimeGrid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or len(pts) < 2:
             raise InvalidHorizon("grid needs at least two points")
-        # written so that a NaN fails: the steps then telescope to T - delta
-        if not (abs(pts[0] - self.delta) <= 1e-12 and abs(pts[-1] - self.T) <= 1e-12):
+        # Python-float gaps (inf - inf is NaN, no warning) fail on NaN; steps then sum to T - delta
+        if not (abs(float(pts[0]) - float(self.delta)) <= 1e-12
+                and abs(float(pts[-1]) - float(self.T)) <= 1e-12):
             raise InvalidHorizon("grid must start at delta and end at T")
         if not np.all(np.diff(pts) > 0.0):
             raise InvalidHorizon("grid points must be strictly increasing")

@@ -121,8 +121,8 @@ def mixture_suite(spec: GmmSpec, t: float = 1.5, n: int = 100000,
     moment z-scores within 4, and (d = 1) histogram TV below 0.02."""
     coeff = ou_coefficients(t)
     rng = np.random.default_rng(seed)
-    x0 = sample_array(spec, n, rng)
-    pushed = coeff.a * x0 + coeff.b * rng.standard_normal(x0.shape)
+    pushed = coeff.a * sample_array(spec, n, rng)
+    pushed += coeff.b * rng.standard_normal(pushed.shape)
     return _law_checks(pushed, marginal_at(spec, t),
                        (f"forward_mc_moments_at_t={t}", f"forward_mc_tv_at_t={t}"), 4.0, 0.02)
 

@@ -84,6 +84,10 @@ class TestAffinePush:
         with pytest.raises(ZeroScale):
             affine_push(anchor, 0.0, 1.0)
 
+    def test_negative_noise_scale_rejected(self, anchor):
+        with pytest.raises(ValueError, match="noise scale b"):
+            affine_push(anchor, 0.5, -0.1)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_precisions_equal_a_solve_against_the_identity(self, d, k):

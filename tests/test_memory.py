@@ -3,7 +3,8 @@ reference quadrature, the Jacobian spectral probe and the sample CSV writer
 and reader work in fixed-size blocks, so the memory they take beyond their
 output grows neither with the number of points nor, for the mixture
 functions, with the dimension. The moment diagnostics take O(n d), never
-an (n, d, d) array.
+an (n, d, d) array, and the forward check of `gmdiff verify mixture` keeps
+no draw beside the pushed points.
 
 Peaks are the tracemalloc high-water mark of allocations made during the
 call (numpy reports its array buffers to tracemalloc); the input points are
@@ -24,6 +25,7 @@ from gmdiff.metrics import (
 )
 from gmdiff.mixture import density, sample_array, score, score_jacobian
 from gmdiff.samples import SampleBatch
+from gmdiff.verify import mixture_suite
 
 MB = 1 << 20
 
@@ -93,6 +95,16 @@ def test_spectral_probe_peak_is_bounded_blocks():
     probe, peak = traced_peak(jacobian_spectral_probe, spec, pts, params)
     assert probe.n_passing > 900
     assert peak < 24 * MB, f"peak {peak / MB:.1f} MB"
+
+
+def test_mixture_suite_peak_keeps_only_the_pushed_points():
+    # 3.05 MB per (20000, 20) array: the pushed points, the reference-centred
+    # copy and a row of products with its std temporaries peak at 4.3 arrays;
+    # the draw x0 and the mean-centred copy held beside them made 6.3
+    pts_nbytes = 20000 * 20 * 8
+    results, peak = traced_peak(mixture_suite, standard_normal_spec(20), 1.5, 20000, 1)
+    assert [r.name for r in results] == ["forward_mc_moments_at_t=1.5"]
+    assert peak < 5 * pts_nbytes, f"peak {peak / MB:.1f} MB"
 
 
 @pytest.fixture

@@ -102,6 +102,10 @@ class TestHistogramGrid:
         assert masses.sum() + outside == pytest.approx(1.0, abs=1e-6)
         assert outside < 1e-6
 
+    def test_reference_masses_reject_grid_of_another_dimension(self, anchor):
+        with pytest.raises(DimensionMismatch):
+            reference_cell_masses(anchor, default_histogram_grid(standard_normal_spec(2)))
+
 
 def _whole_mesh_cell_masses(spec, grid):
     """The midpoint quadrature with the whole mesh in one density call, laid
@@ -273,6 +277,10 @@ class TestKlMc:
     def test_identical_specs_near_zero(self, anchor):
         est = kl_mc(anchor, anchor, 10000, seed=6)
         assert est.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_specs_of_two_dimensions(self, anchor):
+        with pytest.raises(DimensionMismatch):
+            kl_mc(anchor, standard_normal_spec(2), 100, seed=6)
 
     def test_mean_shift_closed_form(self):
         p = validate_spec([(1.0, [1.0, 2.0], np.eye(2))])
@@ -474,6 +482,12 @@ class TestConvergenceSweep:
             convergence_sweep(anchor, "ei", axis, [16.0, 32.0, bad, 64.0],
                               100, seed=1, T=2.0, fixed_N=16)
 
+    def test_rejects_unknown_axis_before_any_run(self, anchor, monkeypatch):
+        monkeypatch.setattr(gmdiff.metrics, "run_sampler", lambda *args, **kwargs:
+                            pytest.fail("a sampler ran before the axis was checked"))
+        with pytest.raises(ValueError, match="axis must be"):
+            convergence_sweep(anchor, "ei", "T", [1.0, 2.0, 4.0, 8.0], 100, seed=1)
+
 
 class TestSpectralNorms:
     @given(_ENTRY, _ENTRY, _ENTRY, st.integers(-150, 150))
@@ -522,6 +536,15 @@ class TestSlopeFit:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([1.0, 2.0, 4.0, 8.0], [1.0, 0.0, 1.0, 1.0]),
+        ([1.0, 2.0, 4.0, 8.0], [1.0, -1.0, 1.0, 1.0]),
+        ([-1.0, 2.0, 4.0, 8.0], [1.0, 1.0, 1.0, 1.0]),
+    ], ids=["zero-y", "negative-y", "negative-x"])
+    def test_needs_positive_values(self, xs, ys):
+        with pytest.raises(ValueError, match="positive values"):
+            fit_loglog_slope(xs, ys)
 
     def test_needs_spread_in_x(self):
         with pytest.raises(ValueError, match="two distinct x values"):

@@ -149,9 +149,11 @@ class TestTimeGridReverseView:
     ([0.0, 0.5, 1.0], 1.0, math.nan),
     ([0.0, math.inf, 1.0], 1.0, 0.0),
     ([0.0, 0.5, math.inf], math.inf, 0.0),
+    ([0.0, 0.5, math.inf], np.float64(math.inf), 0.0),
     ([1.0], 1.0, 1.0),
 ], ids=["nan-inside", "nan-first", "nan-last", "nan-T", "nan-delta", "inf-inside",
-        "inf-T", "one-point"])
+        "inf-T", "inf-T-float64", "one-point"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # inf - inf must not warn on the way
 def test_time_grid_rejects_non_finite_points_and_a_single_point(points, T, delta):
     with pytest.raises(InvalidHorizon):
         TimeGrid(points=np.array(points), T=T, delta=delta)
