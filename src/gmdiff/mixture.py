@@ -257,11 +257,11 @@ def _posterior(spec: GmmSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if spec.dim == 1:
         # the batched (k, 1, 1) @ (k, 1, n) matmul does not reach BLAS; the
         # broadcast product gives the same bits at about a third of the cost.
-        # The quadratic form is one product too; einsum never warned when a
-        # far point's term overflows, so neither does it
+        # The quadratic form is one product, written over the differences;
+        # einsum never warned when a far point's term overflows, so neither does it
         pulls = spec.inv_covs * diff
         with np.errstate(over="ignore"):
-            logs = diff[:, 0] * pulls[:, 0]
+            logs = np.multiply(diff[:, 0], pulls[:, 0], out=diff[:, 0])
     else:
         pulls = np.matmul(spec.inv_covs, diff)
         logs = np.einsum("kdn,kdn->kn", diff, pulls)

@@ -116,25 +116,23 @@ class FourierField:
         nodes = np.arange(k_lo - 1, k_hi + 3) * self._lattice_step
         f = self._direct(nodes[:, None], t)[:, 0]
         a, b, c, e = f[:-3], f[1:-2], f[2:-1], f[3:]
-        # Lagrange cubic through (-1, a), (0, b), (1, c), (2, e), one row per
-        # interval in Horner order: ((c3 s + c2) s + c1) s + c0
-        coef = np.empty((f.size - 3, 4))
-        coef[:, 0] = (e - a) / 6.0 + (b - c) / 2.0
-        coef[:, 1] = (a + c) / 2.0 - b
-        coef[:, 2] = c - b / 2.0 - a / 3.0 - e / 6.0
-        coef[:, 3] = b
-        s = x[:, 0] * inv_h
+        # Lagrange cubic through (-1, a), (0, b), (1, c), (2, e), one entry
+        # per interval in Horner order: ((c3 s + c2) s + c1) s + b
+        c3 = (e - a) / 6.0 + (b - c) / 2.0
+        c2 = (a + c) / 2.0 - b
+        c1 = c - b / 2.0 - a / 3.0 - e / 6.0
+        s = np.multiply(x[:, 0], inv_h, dtype=float)
         k = np.floor(s)
         s -= k
         idx = k.astype(np.intp)
         idx -= k_lo
-        cf = np.take(coef, idx, axis=0)
-        out = cf[:, 0] * s
-        out += cf[:, 1]
-        out *= s
-        out += cf[:, 2]
-        out *= s
-        out += cf[:, 3]
+        # k floors the float64 products x inv_h that gave k_lo and k_hi, so
+        # every index is in range: "clip" changes none and, unlike "raise",
+        # makes no copy of out. The coefficients are gathered one at a time into k
+        out = np.take(c3, idx, mode="clip")
+        for coef in (c2, c1, b):
+            out *= s
+            out += np.take(coef, idx, out=k, mode="clip")
         return out[:, None]
 
     def _direct(self, x: np.ndarray, t: float) -> np.ndarray:

@@ -4,7 +4,9 @@ and reader work in fixed-size blocks, so the memory they take beyond their
 output grows neither with the number of points nor, for the mixture
 functions, with the dimension. The moment diagnostics take O(n d), never
 an (n, d, d) array, and the forward check of `gmdiff verify mixture` keeps
-no draw beside the pushed points.
+no draw beside the pushed points. The 1-D sampler step (the lattice field,
+the perturbed score model and an EI run) holds a fixed small number of
+chain-length arrays.
 
 Peaks are the tracemalloc high-water mark of allocations made during the
 call (numpy reports its array buffers to tracemalloc); the input points are
@@ -16,7 +18,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gmdiff import calibrate_region, lipschitz_suite, random_spec, standard_normal_spec
+from gmdiff import (
+    calibrate_region,
+    lipschitz_suite,
+    make_score_model,
+    marginal_at,
+    random_spec,
+    run_sampler,
+    standard_mixture_1d,
+    standard_normal_spec,
+    uniform_grid,
+)
 from gmdiff.metrics import (
     default_histogram_grid,
     jacobian_spectral_probe,
@@ -25,6 +37,7 @@ from gmdiff.metrics import (
 )
 from gmdiff.mixture import density, sample_array, score, score_jacobian
 from gmdiff.samples import SampleBatch
+from gmdiff.solvers import FourierField
 from gmdiff.verify import mixture_suite
 
 MB = 1 << 20
@@ -125,3 +138,49 @@ def test_sample_csv_read_peak(tmp_path, batch_200000x2):
     assert loaded.points.tobytes() == pts.tobytes()
     # joining the blocks holds the points twice
     assert peak < 2 * pts.nbytes + 2 * MB, f"peak {peak / MB:.1f} MB"
+
+
+# chain-length arrays of float64 at the 1-D step's reference size; 1.6 MB
+# each, so the 4 MiB block _reverse_loop frees first sets no figure
+CHAINS = 200000
+CHAIN_ARRAY = CHAINS * 8
+
+
+@pytest.fixture(scope="module")
+def chains_1d():
+    return 2.0 * np.random.default_rng(3).standard_normal((CHAINS, 1))
+
+
+def test_score_peak_at_d1_in_one_block(chains_1d):
+    # the log terms are written over the differences: 5.0 arrays, where a
+    # separate (k, n) product made 6.0
+    x = chains_1d[:20000]
+    out, peak = traced_peak(score, marginal_at(standard_mixture_1d(), 0.3), x)
+    assert peak < 5.5 * out.nbytes, f"peak {peak / out.nbytes:.2f} arrays"
+
+
+def test_lattice_field_peak(chains_1d):
+    # 4.0 arrays with the output: the position, one gather buffer, the
+    # indices and the output; an (n, 4) gather of the coefficient table
+    # made 8.0
+    field = FourierField.create(1, seed=7)
+    out, peak = traced_peak(field, chains_1d, 0.5)
+    assert out.shape == (CHAINS, 1)
+    assert peak < 5 * CHAIN_ARRAY, f"peak {peak / CHAIN_ARRAY:.2f} arrays"
+
+
+def test_perturbed_score_model_peak(chains_1d):
+    # the score, then the field beside it: 5.0 arrays (9.0 with the table)
+    model = make_score_model(standard_mixture_1d(), "perturbed", 0.1, seed=5)
+    out, peak = traced_peak(model, 0.5, chains_1d)
+    assert out.shape == (CHAINS, 1)
+    assert peak < 6 * CHAIN_ARRAY, f"peak {peak / CHAIN_ARRAY:.2f} arrays"
+
+
+def test_ei_run_peak_at_d1():
+    # the state, the noise and the score beside the field: 7.0 arrays
+    # (11.0 with the table)
+    model = make_score_model(standard_mixture_1d(), "perturbed", 0.1, seed=5)
+    batch, peak = traced_peak(run_sampler, model, uniform_grid(6.0, 8), "ei", CHAINS, 1)
+    assert batch.points.shape == (CHAINS, 1)
+    assert peak < 8 * CHAIN_ARRAY, f"peak {peak / CHAIN_ARRAY:.2f} arrays"

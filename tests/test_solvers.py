@@ -385,6 +385,65 @@ class TestFourierFieldLattice:
             np.testing.assert_allclose(field(x[rows], 0.8), full[rows], rtol=0, atol=1e-6)
         assert len(sizes) == 4
 
+    @staticmethod
+    def table_lattice(field, x, t):
+        # the interpolation with its four coefficients as one (m, 4) table
+        # gathered by rows: the same operations in the same order as
+        # _lattice, so the same bits
+        inv_h = 1.0 / field._lattice_step
+        k_lo = math.floor(float(x.min()) * inv_h)
+        k_hi = math.floor(float(x.max()) * inv_h)
+        nodes = np.arange(k_lo - 1, k_hi + 3) * field._lattice_step
+        f = field._direct(nodes[:, None], t)[:, 0]
+        a, b, c, e = f[:-3], f[1:-2], f[2:-1], f[3:]
+        coef = np.empty((f.size - 3, 4))
+        coef[:, 0] = (e - a) / 6.0 + (b - c) / 2.0
+        coef[:, 1] = (a + c) / 2.0 - b
+        coef[:, 2] = c - b / 2.0 - a / 3.0 - e / 6.0
+        coef[:, 3] = b
+        s = x[:, 0] * inv_h
+        k = np.floor(s)
+        s -= k
+        idx = k.astype(np.intp)
+        idx -= k_lo
+        cf = np.take(coef, idx, axis=0)
+        out = cf[:, 0] * s
+        out += cf[:, 1]
+        out *= s
+        out += cf[:, 2]
+        out *= s
+        out += cf[:, 3]
+        return out[:, None]
+
+    @pytest.mark.parametrize("seed", [14, 15, 16])
+    def test_bitwise_equal_to_coefficient_table(self, seed, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        field = FourierField.create(1, seed=seed)
+        h = field._lattice_step
+        rng = np.random.default_rng(seed)
+        batches = []
+        for n in (16, 17, 1000, 20000):
+            # every chain in one interval, left of 0 (k_lo = -1) and right
+            # of it; then chains on both sides of 0
+            batches += [-h * rng.uniform(0.01, 0.99, (n, 1)),
+                        (7.0 + rng.uniform(0.01, 0.99, (n, 1))) * h]
+            if n >= 1000:
+                batches.append(60.0 * h * rng.uniform(-1.0, 1.0, (n, 1)))
+        batches.append(2.0 * rng.standard_normal((20000, 1)))
+        for x in batches:
+            for t in (0.0, 1.7):
+                assert field(x, t).tobytes() == self.table_lattice(field, x, t).tobytes()
+        assert sizes == [x.shape[0] for x in batches for _ in (0, 1)]
+
+    def test_float32_chains_interpolate_in_float64(self, monkeypatch):
+        # the lattice position x / h is formed in float64 whatever the dtype
+        # of x, as the lattice's range is
+        sizes = self.spy(monkeypatch)
+        field = FourierField.create(1, seed=17)
+        x = (2.0 * np.random.default_rng(17).standard_normal((20000, 1))).astype(np.float32)
+        assert field(x, 0.6).tobytes() == field(x.astype(np.float64), 0.6).tobytes()
+        assert sizes == [20000, 20000]
+
     @pytest.mark.parametrize("far", [1e8, -1e8, 1e30, np.finfo(float).max])
     def test_wide_spread_takes_direct_path(self, far, monkeypatch):
         sizes = self.spy(monkeypatch)
