@@ -8,11 +8,11 @@ One binary, four subcommands plus replay:
   sweep   -- convergence sweep over N or epsilon0, write CSV + slope summary
   replay  -- re-run any command from its emitted metadata file
 
-Every run that exits 0 or 1 writes run.meta.json with the fully resolved
-configuration (defaults and seed included); replaying that file reproduces
-the outputs byte for byte. Exit codes: 0 success, 1 verification failure,
-2 input at fault (spec, flag, replayed config or path), 3 numerical failure,
-4 internal error (a bug).
+Every run that exits 0 or 1 writes run.meta.json with the command and each
+option its parser states, as run (defaults and seed included); replaying
+that file reproduces the outputs byte for byte. Exit codes: 0 success,
+1 verification failure, 2 input at fault (spec, flag, replayed config or
+path), 3 numerical failure, 4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,69 +41,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
-# the type argparse gives each RunConfig field (an int is a float too)
-_ARG_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
-              "float | None": (int, float, type(None)), "list": (list,)}
-# each command's choice-valued options; argparse and RunConfig (which
-# replayed configs reach without argparse) both read them
-CHOICES = {
-    "bounds": {},
-    "sample": {"solver": ("em", "ei", "dpom", "dpum"), "schedule": ("uniform", "expdecay")},
-    "verify": {"suite": tuple(SUITES)},
-    "sweep": {"axis": ("N", "epsilon0"), "solver": ("em", "ei")},
-}
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved invocation; serialized verbatim into run.meta.json."""
-
-    command: str
-    spec: str
-    out: str
-    seed: int
-    solver: str = "ei"
-    schedule: str = "uniform"
-    T: float = 6.0
-    N: int = 1024
-    delta: float = 0.0
-    epsilon0: float = 0.0
-    n: int = 10000
-    K: float = 1.0
-    threads: int = 1
-    t_list: list = field(default_factory=lambda: [0.0])
-    suite: str = "score"
-    axis: str = "N"
-    values: list = field(default_factory=list)
-    eps: float = 0.1
-    h_pred: float | None = None
-    h_corr: float | None = None
-    corr_steps: int = 2
-    friction: float = 2.0
-    bins: int = 200
-
-    def __post_init__(self):
-        # replayed configs skip argparse, so the checks live here
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {self.seed!r}")
-        if type(self.threads) is not int or self.threads < 1:
-            raise ValueError(f"--threads must be an integer >= 1, got {self.threads!r}")
-        for name, f in self.__dataclass_fields__.items():
-            value = getattr(self, name)
-            items = value if type(value) is list else []
-            if (type(value) not in _ARG_TYPES[f.type]
-                    or any(type(v) not in (int, float) for v in items)):
-                raise ValueError(f"{name} must be of type {f.type}, got {value!r}")
-            # every number but the seed (SeedSequence takes any integer) is used as a double
-            if name != "seed" and any(type(v) is int and abs(v) > sys.float_info.max
-                                      for v in [value, *items]):
-                raise ValueError(f"{name} holds an integer past the double range")
-        if self.command not in CHOICES:
-            raise ValueError(f"command must be one of {list(CHOICES)}, got {self.command!r}")
-        for name, allowed in CHOICES[self.command].items():
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {list(allowed)} for "
-                                 f"{self.command}, got {getattr(self, name)!r}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -127,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a reverse-process sampler")
     _add_common(p)
-    p.add_argument("--solver", choices=CHOICES["sample"]["solver"], default="ei")
-    p.add_argument("--schedule", choices=CHOICES["sample"]["schedule"], default="uniform")
+    p.add_argument("--solver", choices=("em", "ei", "dpom", "dpum"), default="ei")
+    p.add_argument("--schedule", choices=("uniform", "expdecay"), default="uniform")
     p.add_argument("--T", type=float, default=6.0)
     p.add_argument("--N", type=int, default=1024)
     p.add_argument("--delta", type=float, default=0.0)
@@ -142,15 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     _add_common(p)
-    p.add_argument("suite", choices=CHOICES["verify"]["suite"])
+    p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--T", type=float, default=1.5,
                    help="time for the mixture suite's forward check")
 
     p = sub.add_parser("sweep", help="convergence sweep over N or epsilon0")
     _add_common(p)
-    p.add_argument("axis", choices=CHOICES["sweep"]["axis"])
+    p.add_argument("axis", choices=("N", "epsilon0"))
     p.add_argument("--values", type=float, nargs="+", required=True)
-    p.add_argument("--solver", choices=CHOICES["sweep"]["solver"], default="ei")
+    p.add_argument("--solver", choices=("em", "ei"), default="ei")
     p.add_argument("--T", type=float, default=8.0)
     p.add_argument("--N", type=int, default=8192,
                    help="fixed N for epsilon0 sweeps")
@@ -167,16 +103,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(np.random.SeedSequence().generate_state(1)[0])
-    fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    fields["seed"] = seed
-    return RunConfig(**fields)
+def _checked(config: dict, parser: argparse.ArgumentParser, source: str) -> argparse.Namespace:
+    """Check config against the options build_parser() states for its command
+    (type, nargs, choices, a None default) and return the command and those
+    options as a Namespace. A key of another command, which records that held
+    every command's options carry, is checked by that option's type and range
+    and dropped. source names config in the unknown and missing key errors."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    own = {name: {a.dest: a for a in p._actions if a.dest != "help"}
+           for name, p in sub.choices.items() if name != "replay"}
+    known = {dest: a for actions in own.values() for dest, a in actions.items()}
+    # an absent seed or threads is left to the missing key check
+    seed, threads = config.get("seed", 0), config.get("threads", 1)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed!r}")
+    if type(threads) is not int or threads < 1:
+        raise ValueError(f"--threads must be an integer >= 1, got {threads!r}")
+    for name in [name for name in known if name in config]:
+        a, value = known[name], config[name]
+        kind = (int, float) if a.type is float else (a.type or str,)
+        nullable = a.default is None and not a.required
+        items = value if a.nargs else [value]
+        if not (type(items) is list and all(type(v) in kind for v in items)
+                or nullable and value is None):
+            raise ValueError(f"{name} must be of type {'list' if a.nargs else kind[-1].__name__}"
+                             f"{' | None' if nullable else ''}, got {value!r}")
+        # every number but the seed (SeedSequence takes any integer) is used as a double
+        if name != "seed" and any(type(v) is int and abs(v) > sys.float_info.max for v in items):
+            raise ValueError(f"{name} holds an integer past the double range")
+    command = config.get("command")
+    if not (type(command) is str and command in own):
+        raise ValueError(f"command must be one of {list(own)}, got {command!r}")
+    for name, a in own[command].items():
+        if a.choices is not None and name in config and config[name] not in a.choices:
+            raise ValueError(f"{name} must be one of {list(a.choices)} for "
+                             f"{command}, got {config[name]!r}")
+    unknown = [name for name in config if name != "command" and name not in known]
+    if unknown:
+        raise ValueError(f"{source}: config holds {', '.join(unknown)}, an option of no command")
+    missing = [name for name in own[command] if name not in config]
+    if missing:
+        raise ValueError(f"{source}: config is missing {', '.join(missing)}")
+    return argparse.Namespace(command=command, **{name: config[name] for name in own[command]})
 
 
-def cmd_bounds(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
+def cmd_bounds(cfg: argparse.Namespace, spec: GmmSpec, out_dir: Path) -> int:
     if not (math.isfinite(cfg.eps) and cfg.eps > 0.0):
         raise ValueError(f"--eps must be positive and finite, got {cfg.eps!r}")
     times = sorted(set([0.0] + [float(t) for t in cfg.t_list]))
@@ -192,7 +163,7 @@ def cmd_bounds(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_sample(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
+def cmd_sample(cfg: argparse.Namespace, spec: GmmSpec, out_dir: Path) -> int:
     if cfg.N < 1:
         raise ValueError(f"--N must be >= 1, got {cfg.N}")
     # every flag is checked, whether or not the chosen solver reads it, and
@@ -214,13 +185,13 @@ def cmd_sample(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
         batch = run_predictor_corrector(
             model, cfg.T, h_pred, h_corr, cfg.corr_steps, variant,
             friction=cfg.friction, delta=cfg.delta, n=cfg.n, seed=cfg.seed)
-    batch.meta["config"] = asdict(cfg)
+    batch.meta["config"] = vars(cfg)
     batch.to_csv(out_dir / "samples.csv")
     print(f"wrote {out_dir / 'samples.csv'} ({batch.n} points, dim {batch.dim})")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
+def cmd_verify(cfg: argparse.Namespace, spec: GmmSpec, out_dir: Path) -> int:
     if not math.isfinite(cfg.T):  # run.meta.json could record it only as null
         raise ValueError(f"--T must be finite for every suite, got {cfg.T!r}")
     kwargs = {"t": cfg.T} if cfg.suite == "mixture" else {}
@@ -233,7 +204,7 @@ def cmd_verify(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def cmd_sweep(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
+def cmd_sweep(cfg: argparse.Namespace, spec: GmmSpec, out_dir: Path) -> int:
     result = convergence_sweep(
         spec, cfg.solver, cfg.axis, list(cfg.values), cfg.n, cfg.seed, T=cfg.T,
         delta=cfg.delta, fixed_N=cfg.N, fixed_epsilon0=cfg.epsilon0, bins=cfg.bins,
@@ -244,22 +215,17 @@ def cmd_sweep(cfg: RunConfig, spec: GmmSpec, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_replay(meta_path: str, out_override: str | None) -> int:
+def cmd_replay(meta_path: str, out_override: str | None,
+               parser: argparse.ArgumentParser) -> int:
     payload = json.loads(Path(meta_path).read_text())
     if not (isinstance(payload, dict) and "config" in payload):
         raise ValueError(f"{meta_path}: no 'config' key to replay")
-    try:
-        cfg = RunConfig(**payload["config"])
-    except TypeError as exc:
-        # an unknown or missing required key, or a config that is not a mapping
-        raise ValueError(f"{meta_path}: invalid config: {exc}") from None
-    # run.meta.json records every field; a default here would be the sample
-    # command's, not the replayed command's
-    missing = [name for name in RunConfig.__dataclass_fields__ if name not in payload["config"]]
-    if missing:
-        raise ValueError(f"{meta_path}: config is missing {', '.join(missing)}")
+    config = payload["config"]
+    if not isinstance(config, dict):
+        raise ValueError(f"{meta_path}: config is not a mapping, got {config!r}")
+    cfg = _checked(config, parser, meta_path)
     # NaN, Infinity or 1e999 could be recorded again only as null, which does not replay
-    for name, value in payload["config"].items():
+    for name, value in config.items():
         floats = [v for v in (value if type(value) is list else [value]) if type(v) is float]
         if not all(map(math.isfinite, floats)):
             raise ValueError(f"{meta_path}: {name} must be finite, got {value!r}")
@@ -276,15 +242,14 @@ DISPATCH = {
 }
 
 
-def _run(cfg: RunConfig) -> int:
+def _run(cfg: argparse.Namespace) -> int:
     """Load the spec, make the output directory and run the command's
     handler; on its return (exit 0 or 1) record cfg in run.meta.json."""
     spec = load_spec(cfg.spec)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     code = DISPATCH[cfg.command](cfg, spec, out_dir)
-    save_json({"command": cfg.command, "config": asdict(cfg)}, out_dir / "run.meta.json",
-              sort_keys=True)
+    save_json({"config": vars(cfg)}, out_dir / "run.meta.json", sort_keys=True)
     return code
 
 
@@ -297,8 +262,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "replay":
-            return cmd_replay(args.meta, args.out)
-        return _run(_resolve_config(args))
+            return cmd_replay(args.meta, args.out, parser)
+        if args.seed is None:
+            args.seed = int(np.random.SeedSequence().generate_state(1)[0])
+        return _run(_checked(vars(args), parser, "the command line"))
     except NonFiniteState as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

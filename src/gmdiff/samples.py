@@ -74,10 +74,7 @@ class SampleBatch:
         path = Path(path)
         blocks, blank_tail = [], False
         with path.open() as f:
-            header = next((line for line in f if line.strip()), "")
-            if len(header.splitlines()) > 1:
-                raise ValueError(f"{path}: header holds a line separator other than LF, CR or CRLF")
-            d = header.count(",") + 1
+            d = _read_header(f, path).count(",") + 1
             step = max(1, CSV_BLOCK_CELLS // d)
             for rows in iter(lambda: list(islice(f, step)), []):
                 if blank_tail and any(map(str.strip, rows)):
@@ -95,3 +92,23 @@ class SampleBatch:
         meta_path = path.with_suffix(".meta.json")
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
         return cls(points=np.concatenate(blocks), meta=meta)
+
+
+def _read_header(f, path: Path) -> str:
+    """The first non-blank line of f, read CSV_BLOCK_CELLS characters at a time;
+    a line separator before its end is refused at the first read that holds it."""
+    parts, last, broken = [], "", False
+    for chunk in iter(lambda: f.readline(CSV_BLOCK_CELLS), ""):
+        # with the previous read's last character: a break before this read's
+        # last character splits the line, as splitlines splits the whole of it
+        broken = broken or len((last + chunk).splitlines()) > 1
+        last = chunk[-1]
+        if parts or chunk.strip():
+            if broken:
+                raise ValueError(f"{path}: header holds a line separator other than LF, CR or CRLF")
+            parts.append(chunk)
+        if chunk.endswith("\n"):
+            if parts:
+                break
+            last, broken = "", False
+    return "".join(parts)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -283,7 +284,7 @@ class TestSampleCommand:
         assert meta["config"]["seed"] == 7
         assert meta["config"]["epsilon0"] == 0.0
         run_meta = json.loads((out / "run.meta.json").read_text())
-        assert run_meta["command"] == "sample"
+        assert run_meta["config"]["command"] == "sample"
 
     def test_epsilon0_recorded(self, spec_file, tmp_path):
         out = tmp_path / "run"
@@ -712,9 +713,11 @@ def test_integer_seed_past_double_range_runs_and_replays(spec_file, tmp_path):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_number_in_replayed_config_exit_2(spec_file, tmp_path, capsys, literal):
-    """eps is a key sample never reads; a non-finite value there could be
-    recorded again only as null, so the replay is refused."""
+    """eps is a key sample never reads, which records that held every
+    command's options carry; a non-finite value there could be recorded
+    again only as null, so the replay is refused."""
     meta = _record(spec_file, tmp_path / "recorded", "sample")
+    meta["config"]["eps"] = 0.1
     path = tmp_path / "nonfinite.json"
     path.write_text(json.dumps(meta).replace('"eps": 0.1', f'"eps": {literal}'))
     capsys.readouterr()
@@ -737,6 +740,61 @@ def test_replaying_a_replay_gives_the_same_bytes(spec_file, tmp_path, command, d
         texts = {(d / name).read_text().replace(str(d), "OUT") for d in dirs}
         assert len(texts) == 1, name
     assert (dirs[0] / data).exists()
+
+
+# run.meta.json files of the format that recorded every command's options,
+# with the flags each was written with
+OLD_RECORDS = Path(__file__).parent / "records"
+OLD_RECORD_FLAGS = {
+    "sample": ["sample", "--N", "16", "--n", "50", "--seed", "3", "--epsilon0", "0.1"],
+    "verify": ["verify", "score", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OLD_RECORD_FLAGS))
+def test_record_of_every_option_replays_to_a_fresh_runs_bytes(spec_file, tmp_path, command):
+    """The other commands' keys of an old record are dropped: the replay
+    writes what a fresh run writes, run.meta.json included, but for out."""
+    meta = json.loads((OLD_RECORDS / f"{command}.run.meta.json").read_text())
+    meta["config"].update(spec=spec_file, out=str(tmp_path / "replayed"))
+    (tmp_path / "old.json").write_text(json.dumps(meta))
+    dirs = [tmp_path / "fresh", tmp_path / "replayed"]
+    assert main([*OLD_RECORD_FLAGS[command], "--spec", spec_file, "--out", str(dirs[0])]) == 0
+    assert main(["replay", str(tmp_path / "old.json")]) == 0
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    for name in names:
+        assert len({(d / name).read_text().replace(str(d), "OUT") for d in dirs}) == 1, name
+
+
+def _parser_dests(command):
+    sub = next(a for a in gmdiff.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_record_holds_its_commands_options_only(spec_file, tmp_path, command):
+    meta = _record(spec_file, tmp_path, command)
+    assert list(meta) == ["config"]
+    assert set(meta["config"]) == {"command"} | _parser_dests(command)
+    if command == "sample":
+        assert json.loads((tmp_path / "samples.meta.json").read_text())["config"] == meta["config"]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"bins": 1.5}, "bins must be of type int, got 1.5"),
+    ({"t_list": 0.5}, "t_list must be of type list, got 0.5"),
+    ({"values": [2, HUGE_INT]}, "values holds an integer past the double range"),
+])
+def test_other_commands_key_in_replayed_config_checked_by_its_type(spec_file, tmp_path,
+                                                                   capsys, config, message):
+    """A sample config may hold a sweep or bounds key; it is dropped only if
+    it is a valid value of that option."""
+    rc, out = _replay_config(tmp_path, spec_file, **config)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestKeepFreedHeap:
@@ -819,7 +877,7 @@ class TestVerifyCommand:
                    "--seed", "1"])
         assert rc == 1
         assert "[FAIL] always_fails" in capsys.readouterr().out
-        assert json.loads((out / "run.meta.json").read_text())["command"] == "verify"
+        assert json.loads((out / "run.meta.json").read_text())["config"]["command"] == "verify"
 
     def test_threshold_past_double_range_written_as_null(self, tmp_path):
         # a 1e-150 I covariance: L at t = 0 is past the double range, both in
@@ -901,7 +959,7 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "axis_value,metric,value,stderr"
         assert len(lines) == 5
-        assert json.loads((out / "run.meta.json").read_text())["command"] == "sweep"
+        assert json.loads((out / "run.meta.json").read_text())["config"]["command"] == "sweep"
         summary = json.loads((out / "sweep.summary.json").read_text())
         assert "slope" in summary
 

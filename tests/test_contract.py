@@ -165,7 +165,7 @@ ANCHOR = str(Path(__file__).resolve().parents[1] / "specs" / "standard_mixture_1
 # flag never asks for more than its valid values do; `sweep N --values
 # 1e300` passes the value check but is past numpy's largest array size, so
 # it fails before anything is allocated
-# 10^400 is the exception: int() takes it, and RunConfig refuses it, past
+# 10^400 is the exception: int() takes it, and the config check refuses it, past
 # the double range, before any work (a float flag reads it as inf)
 BAD_FLAGS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "0.5", "2.5", str(10 ** 400))
 BAD_JSON = [math.nan, math.inf, -math.inf, 0, -1, 1e-300, 1e300, 0.5, None, "x", [], {},
@@ -221,12 +221,21 @@ PARSER_CHOICES = {
 OUT_OF_CHOICE = ["xx", "EI", "uniform ", "dpum"]
 
 
-# every key run.meta.json records, at small valid values
+# every key of a record written before run.meta.json held only its command's
+# options (every command's options, at small valid values); a replay checks
+# the other commands' keys and drops them
 CONFIG_KEYS = {"command": "sample", "spec": ANCHOR, "out": "replaced by --out", "seed": 1,
                "solver": "ei", "schedule": "uniform", "T": 2.0, "N": 4, "delta": 0.0,
                "epsilon0": 0.0, "n": 3, "K": 1.0, "threads": 1, "t_list": [0.0],
                "suite": "score", "axis": "N", "values": [], "eps": 0.1, "h_pred": None,
                "h_corr": None, "corr_steps": 1, "friction": 2.0, "bins": 10}
+# the keys of CONFIG_KEYS that each replayed command reads
+OWN_KEYS = {
+    "sample": {"command", "spec", "out", "seed", "solver", "schedule", "T", "N", "delta",
+               "epsilon0", "n", "K", "h_pred", "h_corr", "corr_steps", "friction"},
+    "sweep": {"command", "spec", "out", "seed", "axis", "values", "solver", "T", "N",
+              "epsilon0", "delta", "n", "bins", "threads"},
+}
 
 
 @st.composite
@@ -255,6 +264,13 @@ def _out_of_choice(config) -> bool:
     choices = PARSER_CHOICES.get(command, {}) if isinstance(command, str) else {}
     return any(key in config and config[key] not in allowed
                for key, allowed in choices.items())
+
+
+def _own_key_missing(config) -> bool:
+    """A key of the config's own command is missing (command itself included)."""
+    command = config.get("command")
+    own = OWN_KEYS.get(command, set()) if isinstance(command, str) else set()
+    return "command" not in config or not own <= set(config)
 
 
 def _exit_code(argv) -> int:
@@ -298,7 +314,7 @@ def test_replayed_config_exits_0_2_or_3(config):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = _exit_code(["replay", str(meta), "--out", str(out)])
-        must_fail = _out_of_choice(config) or not set(CONFIG_KEYS) <= set(config)
+        must_fail = _out_of_choice(config) or _own_key_missing(config)
         assert rc in ((2,) if must_fail else (0, 2, 3))
         assert (out / "run.meta.json").exists() == (rc == 0)
         _assert_strict_json(out, rc)

@@ -156,6 +156,18 @@ def test_sample_batch_csv_rejects_other_line_separators(tmp_path, sep, text):
         SampleBatch.from_csv(csv)
 
 
+# the header is read CSV_BLOCK_CELLS characters at a time; at d = 2000 it
+# spans three reads, after blank lines and with either line end
+@pytest.mark.parametrize("before, end", [("", "\n"), ("\n \x0c\n", "\n"), ("\r\n", "\r\n")])
+def test_sample_batch_csv_reads_a_header_longer_than_a_read(tmp_path, before, end):
+    pts = np.random.default_rng(2).normal(size=(3, 2000))
+    csv = tmp_path / "pts.csv"
+    SampleBatch(points=pts, meta={}).to_csv(csv)
+    csv.write_bytes((before + csv.read_text().replace("\n", end)).encode())
+    assert len(csv.read_text().splitlines()[-4]) > 2 * CSV_BLOCK_CELLS
+    assert SampleBatch.from_csv(csv).points.tobytes() == pts.tobytes()
+
+
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sample_batch_csv_reads_crlf_and_cr_lines(tmp_path, d, end):

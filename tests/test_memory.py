@@ -2,9 +2,10 @@
 reference quadrature, the Jacobian spectral probe and the sample CSV writer
 and reader work in fixed-size blocks, so the memory they take beyond their
 output grows neither with the number of points nor, for the mixture
-functions, with the dimension. The moment diagnostics take O(n d), never
-an (n, d, d) array, and the forward check of `gmdiff verify mixture` keeps
-no draw beside the pushed points. The 1-D sampler step (the lattice field,
+functions, with the dimension; the reader refuses a header line that
+another line separator splits without reading all of it. The moment
+diagnostics take O(n d), never an (n, d, d) array, and the forward check of
+`gmdiff verify mixture` keeps no draw beside the pushed points. The 1-D sampler step (the lattice field,
 the perturbed score model and an EI run) holds a fixed small number of
 chain-length arrays.
 
@@ -138,6 +139,21 @@ def test_sample_csv_read_peak(tmp_path, batch_200000x2):
     assert loaded.points.tobytes() == pts.tobytes()
     # joining the blocks holds the points twice
     assert peak < 2 * pts.nbytes + 2 * MB, f"peak {peak / MB:.1f} MB"
+
+
+def test_sample_csv_refusal_of_a_form_feed_header_peak(tmp_path):
+    """Rows that form feeds separate are one line to LF, CR and CRLF, the
+    header's; the reader refuses it without holding all of it."""
+    rows = np.random.default_rng(1).normal(size=200000).tolist()
+    csv = tmp_path / "ff.csv"
+    csv.write_bytes(("x0\x0c" + "\x0c".join(map(repr, rows)) + "\n").encode())
+
+    def refuse():
+        with pytest.raises(ValueError, match="header holds a line separator"):
+            SampleBatch.from_csv(csv)
+
+    _, peak = traced_peak(refuse)
+    assert peak < 1 * MB, f"peak {peak / MB:.1f} MB"
 
 
 # chain-length arrays of float64 at the 1-D step's reference size; 1.6 MB

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from gmdiff.cli import RunConfig
 from gmdiff.suite import standard_mixture_1d, standard_normal_spec
 from gmdiff.verify import CheckResult
 from gmdiff.verify import lipschitz_suite_checks, mixture_suite, score_suite, solver_suite
@@ -35,11 +34,6 @@ def test_mixture_suite_passes():
 def test_solver_suite_passes():
     checks = solver_suite(standard_mixture_1d(), N=256, n=10000)
     assert all(c.passed for c in checks)
-
-
-def test_unknown_suite_rejected():
-    with pytest.raises(ValueError, match="suite must be one of"):
-        RunConfig(command="verify", spec="spec.json", out="out", seed=1, suite="nonsense")
 
 
 @pytest.mark.parametrize("measured, threshold, passed", [
